@@ -18,7 +18,9 @@
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
 #   7. adversarial dashboard: BENCH_adversarial.json regenerates byte-
 #      identically, re-passes the paper's-bounds gates, and the theorem3
-#      smoke grid shards/merges bit-identically;
+#      smoke grid shards/merges bit-identically; BENCH_uniform.json and
+#      BENCH_capacity.json (the generator artifacts) regenerate
+#      byte-identically too;
 #   8. ASan/UBSan build of the engine-critical tests plus a sanitized
 #      `bench_router --smoke`, and the forced-ISA equivalence sweep;
 #   9. TSan: a -DOSP_SANITIZE=thread build of the threaded suites
@@ -153,6 +155,12 @@ echo "== adversarial dashboard: regenerate + gates + shard smoke =="
 # preamble's recorded worker count to the committed value.
 OSP_THREADS=1 ./build/bench_adversarial > /dev/null
 git diff --exit-code BENCH_adversarial.json
+# BENCH_uniform.json and BENCH_capacity.json are timing-free too and come
+# from the random instance generators: a change to any generated
+# instance's bytes or RNG draws shows up as a diff here.
+OSP_THREADS=1 ./build/bench_uniform > /dev/null
+OSP_THREADS=1 ./build/bench_capacity > /dev/null
+git diff --exit-code BENCH_uniform.json BENCH_capacity.json
 python3 scripts/check_bench_json.py BENCH_adversarial.json
 rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 ./build/osp_cli bench --scenario adversarial/theorem3-smoke \

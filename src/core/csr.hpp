@@ -86,20 +86,6 @@ class CsrArray {
  public:
   CsrArray() : offsets_(1, 0) {}
 
-  /// Flattens `rows`; the result holds the same data contiguously.
-  static CsrArray from_rows(const std::vector<std::vector<T>>& rows) {
-    CsrArray csr;
-    csr.offsets_.reserve(rows.size() + 1);
-    std::size_t total = 0;
-    for (const auto& r : rows) total += r.size();
-    csr.values_.reserve(total);
-    for (const auto& r : rows) {
-      csr.values_.insert(csr.values_.end(), r.begin(), r.end());
-      csr.offsets_.push_back(csr.values_.size());
-    }
-    return csr;
-  }
-
   /// Builds from per-row sizes, leaving values default-initialized; fill
   /// through mutable_row() afterwards.
   static CsrArray from_sizes(const std::vector<std::size_t>& sizes) {
@@ -121,6 +107,35 @@ class CsrArray {
       offsets_[i + 1] = total;
     }
     values_.resize(total);
+  }
+
+  /// Reserves room for `rows` more rows holding `values` more values, so
+  /// that appends of exactly that much data allocate once.
+  void reserve(std::size_t rows, std::size_t values) {
+    offsets_.reserve(offsets_.size() + rows);
+    values_.reserve(values_.size() + values);
+  }
+
+  /// Appends a row copied from `src`; returns the new row's first value
+  /// for in-place edits (valid until the next append).
+  T* append_row(Span<T> src) {
+    const std::size_t begin = values_.size();
+    values_.insert(values_.end(), src.begin(), src.end());
+    offsets_.push_back(values_.size());
+    return values_.data() + begin;
+  }
+
+  /// Removes the last row; undoes one append_row.
+  void pop_row() {
+    OSP_ASSERT(offsets_.size() > 1);
+    offsets_.pop_back();
+    values_.resize(offsets_.back());
+  }
+
+  /// Releases spare capacity; a no-op when appends were reserved exactly.
+  void shrink_to_fit() {
+    offsets_.shrink_to_fit();
+    values_.shrink_to_fit();
   }
 
   std::size_t num_rows() const { return offsets_.size() - 1; }

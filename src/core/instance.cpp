@@ -61,27 +61,35 @@ InstanceStats Instance::stats() const {
 }
 
 void Instance::validate() const {
-  OSP_REQUIRE(set_sizes_.size() == weights_.size());
-  OSP_REQUIRE(members_.num_rows() == weights_.size());
+  const std::size_t m = weights_.size();
+  OSP_REQUIRE(set_sizes_.size() == m);
+  OSP_REQUIRE(members_.num_rows() == m);
   OSP_REQUIRE(parents_.num_rows() == capacities_.size());
   OSP_REQUIRE(parents_.total_values() == members_.total_values());
-  for (std::size_t s = 0; s < weights_.size(); ++s) {
+  for (std::size_t s = 0; s < m; ++s) {
     OSP_REQUIRE_MSG(weights_[s] >= 0, "negative weight for set " << s);
     OSP_REQUIRE(members_.row_size(s) == set_sizes_[s]);
-    for (ElementId u : members_.row(s)) {
-      OSP_REQUIRE(u < num_elements());
-      Span<SetId> par = parents_.row(u);
-      OSP_REQUIRE(std::binary_search(par.begin(), par.end(),
-                                     static_cast<SetId>(s)));
-    }
   }
+
+  // Transpose walk: visiting elements in arrival order, each incidence
+  // (u, s) must be the next unread entry of member row s, and every member
+  // row must be read exactly to its end.  This proves members_ is exactly
+  // the transpose of parents_, with each row in arrival order.
+  const std::vector<std::size_t>& row_end = members_.offsets();
+  const std::vector<ElementId>& member = members_.values();
+  std::vector<std::size_t> next(row_end.begin(), row_end.end() - 1);
   for (ElementId u = 0; u < num_elements(); ++u) {
     OSP_REQUIRE_MSG(capacities_[u] >= 1, "element capacity must be >= 1");
     Span<SetId> par = parents_.row(u);
-    OSP_REQUIRE(std::is_sorted(par.begin(), par.end()));
-    OSP_REQUIRE(std::adjacent_find(par.begin(), par.end()) == par.end());
-    for (SetId s : par) OSP_REQUIRE(s < weights_.size());
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      const SetId s = par[i];
+      OSP_REQUIRE(s < m);
+      OSP_REQUIRE(i == 0 || par[i - 1] < s);  // sorted and distinct
+      OSP_REQUIRE(next[s] < row_end[s + 1] && member[next[s]] == u);
+      ++next[s];
+    }
   }
+  for (std::size_t s = 0; s < m; ++s) OSP_REQUIRE(next[s] == row_end[s + 1]);
 }
 
 std::string Instance::describe() const {
@@ -109,49 +117,59 @@ SetId InstanceBuilder::add_sets(std::size_t count, Weight w) {
   return first;
 }
 
-ElementId InstanceBuilder::add_element(std::vector<SetId> parents,
+ElementId InstanceBuilder::add_element(Span<SetId> parents,
                                        Capacity capacity) {
   OSP_REQUIRE_MSG(capacity >= 1, "element capacity must be >= 1");
-  std::sort(parents.begin(), parents.end());
-  OSP_REQUIRE_MSG(std::adjacent_find(parents.begin(), parents.end()) ==
-                      parents.end(),
-                  "duplicate parent set in element");
-  for (SetId s : parents)
-    OSP_REQUIRE_MSG(s < weights_.size(), "unknown set id " << s);
-  arrivals_.push_back(Arrival{capacity, std::move(parents)});
-  return static_cast<ElementId>(arrivals_.size() - 1);
+  // Sort and check the row in place; a rejected row is popped again
+  // before throwing, so the builder is unchanged.
+  SetId* row = parents_.append_row(parents);
+  SetId* row_end = row + parents.size();
+  std::sort(row, row_end);
+  const bool duplicate = std::adjacent_find(row, row_end) != row_end;
+  const SetId last = parents.empty() ? 0 : row_end[-1];
+  const bool unknown = !parents.empty() && last >= weights_.size();
+  if (duplicate || unknown) {
+    parents_.pop_row();
+    OSP_REQUIRE_MSG(!duplicate, "duplicate parent set in element");
+    OSP_REQUIRE_MSG(!unknown, "unknown set id " << last);
+  }
+  capacities_.push_back(capacity);
+  return static_cast<ElementId>(capacities_.size() - 1);
+}
+
+void InstanceBuilder::reserve(std::size_t elements, std::size_t incidences) {
+  capacities_.reserve(capacities_.size() + elements);
+  parents_.reserve(elements, incidences);
 }
 
 Instance InstanceBuilder::build() {
   Instance inst;
   inst.weights_ = std::move(weights_);
-  inst.set_sizes_.assign(inst.weights_.size(), 0);
-  inst.capacities_.reserve(arrivals_.size());
-  for (const Arrival& a : arrivals_) {
-    inst.capacities_.push_back(a.capacity);
-    inst.max_capacity_ = std::max(inst.max_capacity_, a.capacity);
-    for (SetId s : a.parents) ++inst.set_sizes_[s];
-  }
+  inst.capacities_ = std::move(capacities_);
+  inst.parents_ = std::move(parents_);
+  weights_ = {};
+  capacities_ = {};
+  parents_ = CsrArray<SetId>();
+  inst.capacities_.shrink_to_fit();
+  inst.parents_.shrink_to_fit();
 
-  // Flatten parent lists (already per-element) and scatter the transpose
-  // into the per-set member CSR using set_sizes_ as row extents.
-  {
-    std::vector<std::vector<SetId>> rows;
-    rows.reserve(arrivals_.size());
-    for (Arrival& a : arrivals_) rows.push_back(std::move(a.parents));
-    inst.parents_ = CsrArray<SetId>::from_rows(rows);
-  }
+  for (Capacity b : inst.capacities_)
+    inst.max_capacity_ = std::max(inst.max_capacity_, b);
+  inst.set_sizes_.assign(inst.weights_.size(), 0);
+  for (SetId s : inst.parents_.values()) ++inst.set_sizes_[s];
+
+  // Scatter the transpose into the per-set member CSR, using set_sizes_
+  // as row extents; each member row comes out in arrival order.
   inst.members_ = CsrArray<ElementId>::from_sizes(inst.set_sizes_);
   {
-    std::vector<std::size_t> fill(inst.weights_.size(), 0);
+    std::vector<std::size_t> fill(inst.members_.offsets().begin(),
+                                  inst.members_.offsets().end() - 1);
+    ElementId* member = inst.members_.mutable_row(0);
     for (ElementId u = 0; u < inst.num_elements(); ++u)
-      for (SetId s : inst.parents_.row(u))
-        inst.members_.mutable_row(s)[fill[s]++] = u;
+      for (SetId s : inst.parents_.row(u)) member[fill[s]++] = u;
   }
 
   inst.validate();
-  weights_.clear();
-  arrivals_.clear();
   return inst;
 }
 

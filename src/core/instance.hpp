@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -15,13 +16,6 @@
 #include "core/types.hpp"
 
 namespace osp {
-
-/// One online arrival as supplied to the builder: element u with capacity
-/// b(u) and parent sets C(u).
-struct Arrival {
-  Capacity capacity = 1;
-  std::vector<SetId> parents;  // sorted, distinct
-};
 
 /// Zero-copy view of one arrival inside a built Instance.
 struct ArrivalView {
@@ -132,6 +126,11 @@ class Instance {
 };
 
 /// Incremental constructor for Instance.
+///
+/// Parent lists are appended straight into one flat values/offsets array,
+/// which build() moves into the instance; there is no per-element vector.
+/// A rejected call (bad capacity, duplicate or unknown set) throws and
+/// leaves the builder as it was before the call.
 class InstanceBuilder {
  public:
   /// Declares a new set with the given weight (>= 0); returns its id.
@@ -143,17 +142,33 @@ class InstanceBuilder {
   /// Appends the next arriving element.  `parents` lists the sets that
   /// contain it (need not be sorted; duplicates are rejected); capacity
   /// must be >= 1.  Returns the element id.
-  ElementId add_element(std::vector<SetId> parents, Capacity capacity = 1);
+  ElementId add_element(Span<SetId> parents, Capacity capacity = 1);
+  ElementId add_element(const std::vector<SetId>& parents,
+                        Capacity capacity = 1) {
+    return add_element(Span<SetId>(parents), capacity);
+  }
+  ElementId add_element(std::initializer_list<SetId> parents,
+                        Capacity capacity = 1) {
+    return add_element(Span<SetId>(parents.begin(), parents.size()),
+                       capacity);
+  }
+
+  /// Reserves room for `elements` more elements with `incidences` parent
+  /// entries in total, so that build() moves out arrays of exact size
+  /// without a copy.  Size it from known generator parameters, never from
+  /// untrusted input.
+  void reserve(std::size_t elements, std::size_t incidences);
 
   std::size_t num_sets() const { return weights_.size(); }
-  std::size_t num_elements() const { return arrivals_.size(); }
+  std::size_t num_elements() const { return capacities_.size(); }
 
   /// Validates and produces the instance; the builder is left empty.
   Instance build();
 
  private:
   std::vector<Weight> weights_;
-  std::vector<Arrival> arrivals_;
+  std::vector<Capacity> capacities_;  // per element
+  CsrArray<SetId> parents_;           // per element, each row sorted
 };
 
 }  // namespace osp

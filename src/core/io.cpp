@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -40,6 +41,15 @@ class LineReader {
   std::size_t lineno_ = 0;
 };
 
+/// Parses a whole token as an unsigned decimal: digits only (no sign) and
+/// within T's range.
+template <typename T>
+bool parse_unsigned(const std::string& token, T* out) {
+  const char* last = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
+
 }  // namespace
 
 void write_instance(std::ostream& os, const Instance& inst) {
@@ -65,14 +75,16 @@ Instance read_instance(std::istream& is) {
                   "bad header at line " << reader.lineno() << ": '" << header
                                         << "'");
 
+  // Counts only bound the read loops; nothing is sized from them.
   auto parse_count = [&](const char* keyword) {
     std::string line = reader.next(keyword);
     std::istringstream ss(line);
-    std::string word;
+    std::string word, token;
     std::size_t count = 0;
-    OSP_REQUIRE_MSG(
-        (ss >> word >> count) && word == keyword && ss.eof(),
-        "expected '" << keyword << " <count>' at line " << reader.lineno());
+    OSP_REQUIRE_MSG((ss >> word >> token) && word == keyword &&
+                        parse_unsigned(token, &count) && ss.eof(),
+                    "expected '" << keyword << " <count>' at line "
+                                 << reader.lineno());
     return count;
   };
 
@@ -82,24 +94,29 @@ Instance read_instance(std::istream& is) {
     std::string line = reader.next("set weight");
     std::istringstream ss(line);
     Weight w;
-    OSP_REQUIRE_MSG((ss >> w) && ss.eof(),
+    OSP_REQUIRE_MSG((ss >> w) && ss.eof() && w >= 0,
                     "bad set weight at line " << reader.lineno());
     builder.add_set(w);
   }
 
   const std::size_t n = parse_count("elements");
+  std::vector<SetId> parents;
   for (std::size_t u = 0; u < n; ++u) {
     std::string line = reader.next("element line");
     std::istringstream ss(line);
+    std::string token;
     Capacity cap = 0;
-    OSP_REQUIRE_MSG(static_cast<bool>(ss >> cap),
+    OSP_REQUIRE_MSG((ss >> token) && parse_unsigned(token, &cap) && cap >= 1,
                     "bad element capacity at line " << reader.lineno());
-    std::vector<SetId> parents;
-    SetId s;
-    while (ss >> s) parents.push_back(s);
-    OSP_REQUIRE_MSG(ss.eof(),
-                    "trailing garbage at line " << reader.lineno());
-    builder.add_element(std::move(parents), cap);
+    parents.clear();
+    while (ss >> token) {
+      SetId s = 0;
+      OSP_REQUIRE_MSG(parse_unsigned(token, &s) && s < m,
+                      "bad parent set '" << token << "' at line "
+                                         << reader.lineno());
+      parents.push_back(s);
+    }
+    builder.add_element(parents, cap);
   }
   return builder.build();
 }

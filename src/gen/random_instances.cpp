@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 
 #include "util/require.hpp"
 
@@ -26,48 +25,96 @@ Weight draw_weight(const WeightModel& model, std::size_t rank, Rng& rng) {
 
 namespace {
 
-// Draws k distinct values from [0, n).
-std::vector<std::size_t> sample_distinct(std::size_t k, std::size_t n,
-                                         Rng& rng) {
-  OSP_REQUIRE(k <= n);
-  std::unordered_set<std::size_t> seen;
-  std::vector<std::size_t> out;
-  out.reserve(k);
-  if (k * 3 >= n) {
-    // Dense: shuffle a full index vector.
-    std::vector<std::size_t> idx(n);
-    std::iota(idx.begin(), idx.end(), 0);
-    std::shuffle(idx.begin(), idx.end(), rng.engine());
-    idx.resize(k);
-    return idx;
+// Rejection sampler for distinct values of [0, n): draws rng.below(n)
+// until k distinct values have been seen, reporting them in draw order.
+// A value is seen in the current draw when its stamp equals the draw's
+// epoch, so one stamp array serves every draw and is never cleared.  The
+// generators draw once per set or element, both 32-bit ids, so the 32-bit
+// epoch cannot wrap.
+class DistinctSampler {
+ public:
+  explicit DistinctSampler(std::size_t n) : stamp_(n, 0) {}
+
+  template <typename Emit>
+  void draw(std::size_t k, Rng& rng, Emit emit) {
+    OSP_REQUIRE(k <= stamp_.size());
+    ++epoch_;
+    for (std::size_t got = 0; got < k;) {
+      const std::size_t v = rng.below(stamp_.size());
+      if (stamp_[v] == epoch_) continue;
+      stamp_[v] = epoch_;
+      emit(v);
+      ++got;
+    }
   }
-  while (out.size() < k) {
-    std::size_t v = rng.below(n);
-    if (seen.insert(v).second) out.push_back(v);
-  }
-  return out;
-}
+
+ private:
+  std::vector<std::uint32_t> stamp_;
+  std::uint32_t epoch_ = 0;
+};
 
 // Common body for random_instance / random_capacity_instance.
 Instance build_random(std::size_t m, std::size_t n, std::size_t k,
                       std::size_t cap_max, const WeightModel& weights,
                       Rng& rng) {
   OSP_REQUIRE(m >= 1 && k >= 1 && k <= n);
-  // memberships[slot] = sets containing that slot.
-  std::vector<std::vector<SetId>> memberships(n);
   InstanceBuilder builder;
-  for (std::size_t s = 0; s < m; ++s) {
-    builder.add_set(draw_weight(weights, s, rng));
-    for (std::size_t slot : sample_distinct(k, n, rng))
-      memberships[slot].push_back(static_cast<SetId>(s));
+
+  // Each set picks k distinct slots; picks[s*k .. s*k+k) are set s's.
+  // Dense shapes (3k >= n) shuffle a full index vector, sparse ones draw
+  // by rejection.
+  std::vector<ElementId> picks(m * k);
+  std::vector<std::size_t> load(n, 0);
+  {
+    const bool dense = k * 3 >= n;
+    std::vector<std::size_t> idx(dense ? n : 0);
+    DistinctSampler sampler(dense ? 0 : n);
+    ElementId* out = picks.data();
+    auto take = [&](std::size_t slot) {
+      *out++ = static_cast<ElementId>(slot);
+      ++load[slot];
+    };
+    for (std::size_t s = 0; s < m; ++s) {
+      builder.add_set(draw_weight(weights, s, rng));
+      if (dense) {
+        std::iota(idx.begin(), idx.end(), 0);
+        std::shuffle(idx.begin(), idx.end(), rng.engine());
+        for (std::size_t i = 0; i < k; ++i) take(idx[i]);
+      } else {
+        sampler.draw(k, rng, take);
+      }
+    }
   }
+
+  // Counting sort of the picks by slot: memberships row `slot` lists the
+  // sets containing that slot, in ascending set order.
+  CsrArray<SetId> memberships = CsrArray<SetId>::from_sizes(load);
+  {
+    std::vector<std::size_t> fill(memberships.offsets().begin(),
+                                  memberships.offsets().end() - 1);
+    SetId* member = memberships.mutable_row(0);
+    for (std::size_t i = 0; i < picks.size(); ++i)
+      member[fill[picks[i]]++] = static_cast<SetId>(i / k);
+  }
+
+  // The instance's arrays are reserved while the temporaries are still
+  // held.  Freeing a multi-megabyte block first raises glibc's dynamic
+  // mmap threshold, so the candidate array would land on the brk heap
+  // instead of its own mapping; the decide_batch kernel ran slower on that
+  // layout in paired benchmark runs.
+  const auto unused =
+      static_cast<std::size_t>(std::count(load.begin(), load.end(), 0));
+  builder.reserve(n - unused, m * k);
   for (std::size_t slot = 0; slot < n; ++slot) {
-    if (memberships[slot].empty()) continue;  // unused slot: drop
+    if (memberships.row_size(slot) == 0) continue;  // unused slot: drop
     Capacity cap = cap_max <= 1
                        ? 1
                        : static_cast<Capacity>(rng.range(1, static_cast<std::int64_t>(cap_max)));
-    builder.add_element(std::move(memberships[slot]), cap);
+    builder.add_element(memberships.row(slot), cap);
   }
+  picks = std::vector<ElementId>();
+  load = std::vector<std::size_t>();
+  memberships = CsrArray<SetId>();
   return builder.build();
 }
 
@@ -91,39 +138,32 @@ Instance fixed_load_instance(std::size_t m, std::size_t n, std::size_t sigma,
   OSP_REQUIRE_MSG(n * sigma >= m, "not enough element slots to cover all sets");
 
   InstanceBuilder builder;
+  builder.reserve(n, n * sigma);
   for (std::size_t s = 0; s < m; ++s)
     builder.add_set(draw_weight(weights, s, rng));
 
   // Covering prefix: element e takes sets e·σ .. e·σ+σ-1 (mod m), so after
-  // ceil(m/σ) elements every set belongs to at least one element.
+  // ceil(m/σ) elements every set belongs to at least one element.  With
+  // σ <= m the window wraps at most once onto distinct ids, so it always
+  // holds exactly σ distinct sets.
+  std::vector<SetId> parents;
+  parents.reserve(sigma);
   std::size_t covered = 0;
   std::size_t e = 0;
   for (; covered < m; ++e) {
     OSP_ASSERT(e < n);
-    std::vector<SetId> parents;
+    parents.clear();
     for (std::size_t i = 0; i < sigma; ++i)
       parents.push_back(static_cast<SetId>((covered + i) % m));
-    std::sort(parents.begin(), parents.end());
-    parents.erase(std::unique(parents.begin(), parents.end()), parents.end());
-    // With σ <= m the window wraps at most once, so duplicates only occur
-    // when covered + σ > m wraps onto already-covered ids — still distinct
-    // ids, so the window always has exactly σ distinct sets.
-    OSP_ASSERT(parents.size() == sigma);
-    builder.add_element(std::move(parents), 1);
+    builder.add_element(parents, 1);
     covered += sigma;
   }
+  DistinctSampler sampler(m);
   for (; e < n; ++e) {
-    std::vector<std::size_t> pick = [&] {
-      std::unordered_set<std::size_t> seen;
-      std::vector<std::size_t> out;
-      while (out.size() < sigma) {
-        std::size_t v = rng.below(m);
-        if (seen.insert(v).second) out.push_back(v);
-      }
-      return out;
-    }();
-    std::vector<SetId> parents(pick.begin(), pick.end());
-    builder.add_element(std::move(parents), 1);
+    parents.clear();
+    sampler.draw(sigma, rng,
+                 [&](std::size_t s) { parents.push_back(static_cast<SetId>(s)); });
+    builder.add_element(parents, 1);
   }
   return builder.build();
 }
@@ -172,13 +212,11 @@ Instance regular_instance(std::size_t m, std::size_t k, std::size_t sigma,
     }
     if (clean) {
       InstanceBuilder builder;
+      builder.reserve(n, stubs.size());
       for (std::size_t s = 0; s < m; ++s)
         builder.add_set(draw_weight(weights, s, rng));
-      for (std::size_t g = 0; g < n; ++g) {
-        std::vector<SetId> parents(stubs.begin() + g * sigma,
-                                   stubs.begin() + (g + 1) * sigma);
-        builder.add_element(std::move(parents), 1);
-      }
+      for (std::size_t g = 0; g < n; ++g)
+        builder.add_element(Span<SetId>(stubs.data() + g * sigma, sigma), 1);
       return builder.build();
     }
   }

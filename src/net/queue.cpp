@@ -90,12 +90,4 @@ std::size_t PacketQueue::kill_frame(SetId frame) {
   return queued;
 }
 
-void PacketQueue::update_rank(std::uint32_t handle, double rank) {
-  OSP_REQUIRE_MSG(serve_.contains(handle),
-                  "updating absent packet handle " << handle);
-  rank_[handle] = rank;
-  serve_.update(handle);
-  evict_.update(handle);
-}
-
 }  // namespace osp

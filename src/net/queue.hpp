@@ -6,8 +6,7 @@
 //
 //   * IndexedDaryHeap — a position-indexed d-ary heap over small integer
 //     entry ids.  The position index is what turns the classic heap into a
-//     mutable one: erase-by-id and re-sift after an external key change
-//     (decrease-key / increase-key) are O(d·log_d n) instead of O(n).
+//     mutable one: erase-by-id is O(d·log_d n) instead of O(n).
 //     Keys live outside the heap (structure-of-arrays), so sift moves are
 //     4-byte id shuffles.
 //
@@ -96,14 +95,6 @@ class IndexedDaryHeap {
   void erase(std::uint32_t id) {
     OSP_REQUIRE_MSG(contains(id), "erasing absent heap entry " << id);
     remove_at(pos_[id]);
-  }
-
-  /// Restores the heap property after the caller changed id's key in
-  /// either direction (decrease-key / increase-key).  O(d·log_d n).
-  void update(std::uint32_t id) {
-    OSP_REQUIRE_MSG(contains(id), "updating absent heap entry " << id);
-    std::size_t i = pos_[id];
-    if (!sift_up(i)) sift_down(pos_[id]);
   }
 
  private:
@@ -203,10 +194,6 @@ class PacketQueue {
   /// Marks a frame dead; its queued packets become lazily deleted.
   /// Returns how many queued packets were newly written off.  O(1).
   std::size_t kill_frame(SetId frame);
-
-  /// Re-keys a queued packet (decrease- or increase-key) after a rank
-  /// change.  O(log Q).
-  void update_rank(std::uint32_t handle, double rank);
 
  private:
   // Comparators index the queue's key arrays, so heaps stay id-only.

@@ -82,6 +82,13 @@ class SeedRandPr final : public ActiveTracking {
   std::vector<PriorityKey> priorities_;
 };
 
+/// One arrival as the seed engine stored it: element u with capacity b(u)
+/// and an owned vector of parent sets C(u).
+struct Arrival {
+  Capacity capacity = 1;
+  std::vector<SetId> parents;  // sorted, distinct
+};
+
 /// The seed engine's play(), line for line, over pre-materialized arrivals
 /// (the seed stored arrivals as vectors, so its loop paid no CSR-to-vector
 /// conversion — callers pre-build `arrivals` outside any timed region).

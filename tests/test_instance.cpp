@@ -64,6 +64,58 @@ TEST(InstanceBuilder, RejectsZeroCapacity) {
   EXPECT_THROW(b.add_element({0}, 0), RequireError);
 }
 
+TEST(InstanceBuilder, AcceptsSpanOfParents) {
+  InstanceBuilder b;
+  b.add_sets(4);
+  const std::vector<SetId> pool{9, 3, 1, 2, 9};
+  b.add_element(Span<SetId>(pool.data() + 1, 3), 2);  // {3, 1, 2}
+  b.add_element(Span<SetId>(), 1);
+  Instance inst = b.build();
+  EXPECT_EQ(inst.parents(0), (std::vector<SetId>{1, 2, 3}));
+  EXPECT_EQ(inst.capacity(0), 2u);
+  EXPECT_EQ(inst.load(1), 0u);
+  EXPECT_EQ(inst.elements_of(3), (std::vector<ElementId>{0}));
+  EXPECT_EQ(inst.max_capacity(), 2u);
+}
+
+bool same_instance(const Instance& a, const Instance& b) {
+  if (a.num_sets() != b.num_sets() || a.num_elements() != b.num_elements() ||
+      a.max_capacity() != b.max_capacity())
+    return false;
+  for (SetId s = 0; s < a.num_sets(); ++s)
+    if (a.weight(s) != b.weight(s) || a.elements_of(s) != b.elements_of(s))
+      return false;
+  for (ElementId u = 0; u < a.num_elements(); ++u)
+    if (a.capacity(u) != b.capacity(u) || a.parents(u) != b.parents(u))
+      return false;
+  return true;
+}
+
+TEST(InstanceBuilder, RejectedElementLeavesBuilderUnchanged) {
+  auto fill = [](InstanceBuilder& b, bool with_bad_call, int bad) {
+    b.add_sets(3);
+    b.add_set(2.5);
+    b.add_element({3, 1}, 2);
+    if (with_bad_call) {
+      switch (bad) {
+        case 0: EXPECT_THROW(b.add_element({2, 0, 2}), RequireError); break;
+        case 1: EXPECT_THROW(b.add_element({0, 4}), RequireError); break;
+        default: EXPECT_THROW(b.add_element({0, 1}, 0), RequireError);
+      }
+      EXPECT_EQ(b.num_elements(), 1u);
+    }
+    b.add_element({2, 0, 3});
+    b.add_element({1});
+  };
+  for (int bad = 0; bad < 3; ++bad) {
+    InstanceBuilder clean, rejected;
+    fill(clean, false, bad);
+    fill(rejected, true, bad);
+    EXPECT_TRUE(same_instance(clean.build(), rejected.build()))
+        << "bad call " << bad;
+  }
+}
+
 TEST(InstanceBuilder, RejectsNegativeWeight) {
   InstanceBuilder b;
   EXPECT_THROW(b.add_set(-1.0), RequireError);

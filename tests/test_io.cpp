@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/io.hpp"
 #include "design/lower_bounds.hpp"
@@ -111,6 +112,58 @@ TEST(InstanceIo, RejectsTrailingGarbageOnElement) {
   std::stringstream ss(
       "osp-instance v1\nsets 1\n1.0\nelements 1\n1 0 oops\n");
   EXPECT_THROW(read_instance(ss), RequireError);
+}
+
+// Expects read_instance to reject `text` with an error naming `where`.
+void expect_rejected_at(const std::string& text, const std::string& where) {
+  std::stringstream ss(text);
+  try {
+    read_instance(ss);
+    ADD_FAILURE() << "accepted: " << text;
+  } catch (const RequireError& e) {
+    EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(InstanceIo, RejectsSignedCounts) {
+  expect_rejected_at("osp-instance v1\nsets -1\n", "'sets <count>' at line 2");
+  expect_rejected_at("osp-instance v1\nsets +1\n1\nelements 0\n",
+                     "'sets <count>' at line 2");
+  expect_rejected_at("osp-instance v1\nsets 1\n1\nelements -1\n",
+                     "'elements <count>' at line 4");
+}
+
+TEST(InstanceIo, RejectsOutOfRangeCount) {
+  expect_rejected_at("osp-instance v1\nsets 99999999999999999999999\n",
+                     "'sets <count>' at line 2");
+}
+
+TEST(InstanceIo, HugeCountFailsAtEndOfInputWithoutAllocating) {
+  // The count is only a loop bound: a maximal count with no lines behind
+  // it fails on the missing weight, not on an allocation.
+  expect_rejected_at("osp-instance v1\nsets 18446744073709551615\n1\n",
+                     "expected set weight");
+}
+
+TEST(InstanceIo, RejectsSignedOrZeroCapacity) {
+  const std::string head = "osp-instance v1\nsets 1\n1\nelements 1\n";
+  expect_rejected_at(head + "-1 0\n", "bad element capacity at line 5");
+  expect_rejected_at(head + "+1 0\n", "bad element capacity at line 5");
+  expect_rejected_at(head + "0 0\n", "bad element capacity at line 5");
+  expect_rejected_at(head + "4294967296 0\n",
+                     "bad element capacity at line 5");
+}
+
+TEST(InstanceIo, RejectsSignedParent) {
+  const std::string head = "osp-instance v1\nsets 2\n1\n1\nelements 1\n";
+  expect_rejected_at(head + "1 0 -1\n", "bad parent set '-1' at line 6");
+  expect_rejected_at(head + "1 -0\n", "bad parent set '-0' at line 6");
+}
+
+TEST(InstanceIo, RejectsNegativeWeightWithLine) {
+  expect_rejected_at("osp-instance v1\nsets 1\n-2\nelements 0\n",
+                     "bad set weight at line 3");
 }
 
 TEST(InstanceIo, FileRoundTrip) {

@@ -1,7 +1,7 @@
 // Tests for the indexed priority structures behind the buffered router:
-// the position-indexed d-ary heap (pop order, erase, decrease-/increase-
-// key) and the double-ended PacketQueue with lazy dead-frame deletion,
-// fuzzed against a naive sorted-vector reference.
+// the position-indexed d-ary heap (pop order, erase) and the double-ended
+// PacketQueue with lazy dead-frame deletion, fuzzed against a naive
+// sorted-vector reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,29 +54,12 @@ TEST(IndexedDaryHeap, EraseRemovesExactlyTheEntry) {
   EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 2, 4, 1, 5}));
 }
 
-TEST(IndexedDaryHeap, UpdateHandlesBothKeyDirections) {
-  std::vector<double> keys{5, 1, 4, 2, 3};
-  IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
-  for (std::uint32_t id = 0; id < keys.size(); ++id) heap.push(id);
-
-  keys[1] = 10;  // increase-key: 1 must surface
-  heap.update(1);
-  EXPECT_EQ(heap.top(), 1u);
-
-  keys[1] = 0.25;  // decrease-key: 1 must sink to the bottom
-  heap.update(1);
-  std::vector<std::uint32_t> order;
-  while (!heap.empty()) order.push_back(heap.pop());
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 2, 4, 3, 1}));
-}
-
 TEST(IndexedDaryHeap, RejectsDuplicateAndAbsentIds) {
   std::vector<double> keys{1, 2};
   IndexedDaryHeap<KeyedHigher> heap{KeyedHigher{&keys}};
   heap.push(0);
   EXPECT_THROW(heap.push(0), RequireError);
   EXPECT_THROW(heap.erase(1), RequireError);
-  EXPECT_THROW(heap.update(1), RequireError);
 }
 
 TEST(IndexedDaryHeap, RandomizedAgainstSortReference) {
@@ -92,15 +75,15 @@ TEST(IndexedDaryHeap, RandomizedAgainstSortReference) {
       heap.push(id);
       alive.push_back(id);
     }
-    // Random erases and key updates.
+    // Random erases, and re-keys as erase + push.
     for (int op = 0; op < 40 && !alive.empty(); ++op) {
       std::size_t pick = rng.below(alive.size());
+      heap.erase(alive[pick]);
       if (rng.chance(0.5)) {
-        heap.erase(alive[pick]);
         alive.erase(alive.begin() + static_cast<std::ptrdiff_t>(pick));
       } else {
         keys[alive[pick]] = rng.uniform() * 2;
-        heap.update(alive[pick]);
+        heap.push(alive[pick]);
       }
     }
     std::sort(alive.begin(), alive.end(), KeyedHigher{&keys});
@@ -173,22 +156,6 @@ TEST(PacketQueue, PushingToADeadFrameIsBornStale) {
   ASSERT_TRUE(q.pop_worst(&f));
   EXPECT_EQ(f, 1u);  // the dead packet is skipped even on the evict side
   EXPECT_FALSE(q.pop_worst(&f));
-}
-
-TEST(PacketQueue, UpdateRankRekeysBothEnds) {
-  PacketQueue q;
-  q.reset(3);
-  q.push(0, 1.0, 0);
-  std::uint32_t h = q.push(1, 2.0, 1);
-  q.push(2, 3.0, 2);
-  q.update_rank(h, 10.0);  // increase-key
-  SetId f;
-  ASSERT_TRUE(q.pop_best(&f));
-  EXPECT_EQ(f, 1u);
-  h = q.push(1, 5.0, 3);
-  q.update_rank(h, 0.5);  // decrease-key
-  ASSERT_TRUE(q.pop_worst(&f));
-  EXPECT_EQ(f, 1u);
 }
 
 TEST(PacketQueue, ResetReusesStorageAndClearsDeadness) {
