@@ -63,11 +63,6 @@ struct BlockScratch {
   std::vector<SetId> topk;
   std::uint32_t* got = nullptr;
   bool hist_applied = false;
-  // Workspace for the vector block kernel's deferred unit-capacity rows:
-  // (block row, output slot) pairs plus the per-row collision flags the
-  // batched kernel reports back.  Grow-only; unused on the scalar tier.
-  std::vector<std::uint32_t> unit_rows;
-  std::vector<std::uint8_t> row_coll;
 };
 
 /// Arrivals per decide_batch call when a block-stepped caller does not

@@ -1,5 +1,6 @@
 #include "core/io.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <fstream>
 #include <limits>
@@ -116,6 +117,13 @@ Instance read_instance(std::istream& is) {
                                          << reader.lineno());
       parents.push_back(s);
     }
+    // The builder sorts the row anyway; sorting here finds a repeated
+    // parent while the line number is still known.
+    std::sort(parents.begin(), parents.end());
+    const auto dup = std::adjacent_find(parents.begin(), parents.end());
+    OSP_REQUIRE_MSG(dup == parents.end(),
+                    "duplicate parent set '" << *dup << "' at line "
+                                             << reader.lineno());
     builder.add_element(parents, cap);
   }
   return builder.build();

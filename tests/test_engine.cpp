@@ -11,12 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <memory>
 
 #include "algos/baselines.hpp"
 #include "api/policy_registry.hpp"
-#include "core/cpu_features.hpp"
 #include "core/game.hpp"
 #include "core/priority.hpp"
 #include "core/rand_pr.hpp"
@@ -386,7 +384,21 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
   // decision-identical to per-element decide() calls in arrival order —
   // proven here for every policy (block kernels and fallbacks alike), at
   // block sizes that split instances unevenly, including single-element
-  // blocks, with full decision traces compared.
+  // blocks, with full decision traces compared.  The population adds a
+  // nearly-equal-keys hash to hashPr/const (all keys equal): its quantized
+  // ranks collide while the exact keys differ, so the block kernel's
+  // exact (key, tie) fallback decides every comparison.
+  std::vector<Maker> makers = all_policy_makers();
+  makers.push_back(
+      {"hashPr/nearly-equal", [](Rng) {
+         // Hash outputs 2^-50 apart: far below the u32 rank resolution
+         // (~2^-32 relative), so ranks collide while the doubles differ.
+         return std::make_unique<HashedRandPr>(
+             [](std::uint64_t key) {
+               return 0.5 + static_cast<double>(key % 64) * 0x1p-50;
+             },
+             "hashPr/nearly-equal");
+       }});
   Rng master(0xb10c);
   PlayScratch flat_scratch;
   PlayScratch block_scratch;  // deliberately shared across all runs
@@ -394,7 +406,7 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
     Rng gen = master.split(round);
     Instance inst = fuzz_instance(round, gen);
 
-    for (const Maker& mk : all_policy_makers()) {
+    for (const Maker& mk : makers) {
       for (std::size_t block_size :
            {std::size_t{1}, std::size_t{3}, std::size_t{64},
             inst.num_elements()}) {
@@ -416,88 +428,6 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
       }
     }
   }
-}
-
-TEST(GoldenEquivalence, DecideBatchIsaTiersMatchScalarForAllPolicies) {
-  // The dispatch contract of core/cpu_features.hpp: every ISA tier of
-  // the block kernel is decision-identical to the scalar path.  Each
-  // available ISA is forced exactly the way a fresh process would see it
-  // (OSP_FORCE_ISA in the environment, then the startup selection re-run)
-  // and swept over every policy × block sizes 1/3/64/whole, comparing
-  // outcomes AND full decision traces against the flat per-element
-  // engine.  Instances here are wider than the generic fuzz (k up to 24
-  // candidates per element) so rows actually reach the lane-parallel
-  // kernel, and the policy population includes hashPr/const — all keys
-  // equal, every comparison a rank collision — plus a nearly-equal-keys
-  // hash whose ranks collide while the exact keys differ, forcing the
-  // exact (key, tie) fallback on both of its flavors.
-  std::vector<Maker> makers = all_policy_makers();
-  makers.push_back(
-      {"hashPr/nearly-equal", [](Rng) {
-         // Hash outputs 2^-50 apart: far below the u32 rank resolution
-         // (~2^-32 relative), so quantized ranks collide in droves while
-         // the doubles stay distinct — the vector kernels must report
-         // the collision and the caller must rescan exactly.
-         return std::make_unique<HashedRandPr>(
-             [](std::uint64_t key) {
-               return 0.5 + static_cast<double>(key % 64) * 0x1p-50;
-             },
-             "hashPr/nearly-equal");
-       }});
-
-  const char* prev_force = std::getenv("OSP_FORCE_ISA");
-  const std::string saved = prev_force != nullptr ? prev_force : "";
-
-  Rng master(0x15a);
-  PlayScratch flat_scratch;
-  PlayScratch block_scratch;
-  for (std::size_t round = 0; round < 6; ++round) {
-    Rng gen = master.split(round);
-    const std::size_t m = 26 + gen.below(30);
-    const std::size_t n = 30 + gen.below(60);
-    const std::size_t k = std::vector<std::size_t>{2, 8, 17, 24}[round % 4];
-    const WeightModel wm =
-        round % 2 == 0 ? WeightModel::unit() : WeightModel::zipf(1.3);
-    Instance inst = round % 2 == 0
-                        ? random_instance(m, n, k, wm, gen)
-                        : random_capacity_instance(m, n, k, 3, wm, gen);
-
-    for (const Maker& mk : makers) {
-      // Scalar flat reference: the per-element path never dispatches, so
-      // one trace serves as the golden answer for every tier.
-      Rng seed_rng = master.split(9000 + round);
-      auto flat_alg = mk.make(seed_rng);
-      Recording flat_rec(*flat_alg);
-      Outcome flat = play_flat(inst, flat_rec, flat_scratch);
-
-      for (simd::Isa isa : simd::available_isas()) {
-        setenv("OSP_FORCE_ISA", simd::isa_name(isa), /*overwrite=*/1);
-        simd::refresh_active_isa();
-        ASSERT_EQ(simd::active_isa(), isa);
-
-        for (std::size_t block_size :
-             {std::size_t{1}, std::size_t{3}, std::size_t{64},
-              inst.num_elements()}) {
-          auto block_alg = mk.make(seed_rng);
-          Recording block_rec(*block_alg);
-          Outcome block =
-              play_flat_blocks(inst, block_rec, block_scratch, block_size);
-          const std::string what =
-              mk.label + " isa " + simd::isa_name(isa) + " round " +
-              std::to_string(round) + " block_size " +
-              std::to_string(block_size);
-          expect_same_outcome(flat, block, what);
-          EXPECT_EQ(flat_rec.trace, block_rec.trace) << what << " trace";
-        }
-      }
-    }
-  }
-
-  if (prev_force != nullptr)
-    setenv("OSP_FORCE_ISA", saved.c_str(), /*overwrite=*/1);
-  else
-    unsetenv("OSP_FORCE_ISA");
-  simd::refresh_active_isa();
 }
 
 TEST(DecideBatch, EmptyAndDegenerateBlocksMatchScalarAndDoNotAllocate) {
@@ -595,6 +525,113 @@ TEST(DecideBatch, EmptyAndDegenerateBlocksMatchScalarAndDoNotAllocate) {
               std::vector<SetId>(buf.begin(), buf.begin() + n1))
         << mk.label << " single-record block";
   }
+}
+
+// ---------------------------------------------------------------------
+// The shared block kernel (top_by_priority_soa_block) in isolation.
+
+/// A random mixed-capacity block over SoA priorities.
+struct BlockCase {
+  std::vector<Capacity> caps;
+  std::vector<std::size_t> offsets;
+  std::vector<SetId> cands;
+  std::vector<double> keys;
+  std::vector<std::uint64_t> ties;
+  std::vector<std::uint32_t> qranks;
+
+  ArrivalBlock block() const {
+    ArrivalBlock b;
+    b.first = 0;
+    b.count = caps.size();
+    b.capacities = caps.data();
+    b.candidates = cands.data();
+    b.offsets = offsets.data();
+    return b;
+  }
+};
+
+BlockCase random_block_case(Rng& rng, bool craft_collisions) {
+  BlockCase c;
+  const std::size_t num_sets = 32 + rng.below(256);
+  c.keys.resize(num_sets);
+  c.ties.resize(num_sets);
+  c.qranks.resize(num_sets);
+  for (SetId s = 0; s < num_sets; ++s) {
+    if (craft_collisions) {
+      // A handful of base keys, each shifted below rank resolution:
+      // equal ranks, distinct keys — the exact-fallback shape.
+      const double base = -1.0 - static_cast<double>(rng.below(4));
+      c.keys[s] = base - static_cast<double>(rng.below(16)) * 0x1p-40;
+    } else {
+      c.keys[s] = -1.0 - rng.uniform();
+    }
+    c.ties[s] = rng();
+    c.qranks[s] = quantized_key_rank(c.keys[s]);
+  }
+  const std::size_t count = 1 + rng.below(40);
+  c.offsets.push_back(0);
+  for (std::size_t i = 0; i < count; ++i) {
+    c.caps.push_back(static_cast<Capacity>(rng.below(4)));  // incl. cap 0
+    const std::size_t n = rng.below(30);                    // incl. empty rows
+    // Sorted distinct candidates, as the engine guarantees.
+    std::vector<bool> used(num_sets, false);
+    std::vector<SetId> row;
+    for (std::size_t j = 0; j < n; ++j) {
+      const SetId s = static_cast<SetId>(rng.below(num_sets));
+      if (!used[s]) {
+        used[s] = true;
+        row.push_back(s);
+      }
+    }
+    std::sort(row.begin(), row.end());
+    c.cands.insert(c.cands.end(), row.begin(), row.end());
+    c.offsets.push_back(c.cands.size());
+  }
+  return c;
+}
+
+TEST(BlockKernel, MatchesPerRowSelectionWithFusedHistogram) {
+  // Every row must equal top_by_priority_soa on that row, and the fused
+  // histogram must equal a recount over the written rows.  One case in
+  // three is built from equal-rank, distinct-key sets, so unit-capacity
+  // rows are decided by the exact (key, tie) fallback.
+  Rng rng(77);
+  std::vector<SetId> expected, topk;
+  for (int it = 0; it < 300; ++it) {
+    const BlockCase c = random_block_case(rng, it % 3 == 0);
+    BlockScratch scratch;
+    std::vector<std::uint32_t> hist(c.keys.size(), 0);
+    scratch.got = hist.data();
+    BlockChoices out;
+    top_by_priority_soa_block(c.block(), c.keys.data(), c.ties.data(),
+                              c.qranks.data(), scratch, out);
+    EXPECT_TRUE(scratch.hist_applied);
+
+    ASSERT_EQ(out.offsets.size(), c.caps.size() + 1);
+    for (std::size_t i = 0; i < c.caps.size(); ++i) {
+      const std::size_t n = c.offsets[i + 1] - c.offsets[i];
+      expected.resize(n);
+      expected.resize(top_by_priority_soa(
+          c.cands.data() + c.offsets[i], n, c.keys.data(), c.ties.data(),
+          c.caps[i], expected.data(), topk));
+      EXPECT_EQ(out.row(i).to_vector(), expected)
+          << "case " << it << " row " << i;
+    }
+    std::vector<std::uint32_t> recount(c.keys.size(), 0);
+    for (std::size_t j = 0; j < out.offsets.back(); ++j)
+      ++recount[out.ids[j]];
+    EXPECT_EQ(hist, recount) << "case " << it;
+  }
+}
+
+TEST(BlockKernel, HistogramChannelStaysOffWithoutOptIn) {
+  Rng rng(5);
+  const BlockCase c = random_block_case(rng, false);
+  BlockScratch scratch;  // got stays nullptr
+  BlockChoices out;
+  top_by_priority_soa_block(c.block(), c.keys.data(), c.ties.data(),
+                            c.qranks.data(), scratch, out);
+  EXPECT_FALSE(scratch.hist_applied);
 }
 
 // ---------------------------------------------------------------------

@@ -161,6 +161,14 @@ TEST(InstanceIo, RejectsSignedParent) {
   expect_rejected_at(head + "1 -0\n", "bad parent set '-0' at line 6");
 }
 
+TEST(InstanceIo, RejectsDuplicateParentWithLine) {
+  const std::string head = "osp-instance v1\nsets 3\n1\n1\n1\nelements 2\n";
+  expect_rejected_at("osp-instance v1\nsets 1\n1\nelements 1\n1 0 0\n",
+                     "duplicate parent set '0' at line 5");
+  expect_rejected_at(head + "1 0 1\n2 2 1 2\n",
+                     "duplicate parent set '2' at line 8");
+}
+
 TEST(InstanceIo, RejectsNegativeWeightWithLine) {
   expect_rejected_at("osp-instance v1\nsets 1\n-2\nelements 0\n",
                      "bad set weight at line 3");
