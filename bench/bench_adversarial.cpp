@@ -75,8 +75,8 @@ void theorem3_sweep(api::JsonSink& json) {
                "baseline trapped --\n";
   Table table({"sigma", "k", "opt", "det max benefit", "det ratio min",
                "E[randPr]", "randPr ratio", "Thm3 bound"});
-  // Rng stream preserved from bench_det_lb's randPr control: master(11),
-  // split keyed on the cell's (sigma, k).
+  // Rng stream preserved from the randPr control of the retired console
+  // bench bench_det_lb: master(11), split keyed on the cell's (sigma, k).
   Rng master(11);
   FamilySummary summary;
   summary.policies = make_deterministic_baselines().size() + 1;
@@ -119,8 +119,9 @@ void theorem3_sweep(api::JsonSink& json) {
                      .add("bound", bound));
     }
 
-    // randPr replays the greedy-first transcript obliviously (the same
-    // control bench_det_lb ran): build_adversarial_cell pins that victim.
+    // randPr replays the greedy-first transcript obliviously (the control
+    // the retired bench_det_lb ran): build_adversarial_cell pins that
+    // victim.
     Rng unused(0);  // kTheorem3 construction draws nothing from it
     api::AdversarialCell adv = api::build_adversarial_cell(cell, unused);
     const api::OptDenominator den =
@@ -275,8 +276,9 @@ int main() {
 
   std::cout << "-- Section 4.2 warm-up (t^2 sets, ratio Omega(t/log t)) "
                "--\n";
-  // Rng streams preserved from bench_rand_lb's weak_table: master(314159),
-  // instance split t*1000+d, randPr split 50000 + t*1000+d.
+  // Rng streams preserved from the retired bench_rand_lb's weak_table:
+  // master(314159), instance split t*1000+d, randPr split 50000 +
+  // t*1000+d.
   osp::distribution_sweep(json, "weaklb", "adversarial/weak-lb", 314159,
                           1000, 50000, osp::api::kDefaultLpRowLimit);
   std::cout << "Expected shape: every policy's ratio grows with t roughly "
@@ -284,7 +286,8 @@ int main() {
                "sets).\n\n";
 
   std::cout << "-- Lemma 9 distribution (Figure 1 construction) --\n";
-  // Rng streams preserved from bench_rand_lb's lemma9_table for ell <= 4
+  // Rng streams preserved from the retired bench_rand_lb's lemma9_table
+  // for ell <= 4
   // (master(271828), instance split ell*100+d, randPr split 7000 + the
   // same key); ell = 5 is re-baselined from 6 draws to the catalog's 12,
   // and ell = 7 is dropped from the sweep (runtime).  The dense simplex

@@ -6,7 +6,7 @@
 //   seed  — the seed repo's engine AND algorithm, replicated verbatim:
 //           randPr's on_element() allocating a candidate-pool copy plus a
 //           partial_sort working copy and returning a heap vector per
-//           arrival, the engine validating with check_answer()'s copy +
+//           arrival, the engine validating each answer with a copy +
 //           sort, arrivals pre-materialized as vectors (the seed stored
 //           them that way, so its loop did not pay for the conversion and
 //           this one must not either);

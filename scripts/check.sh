@@ -14,7 +14,8 @@
 #      clang-tidy is not installed; the CI analysis job requires it);
 #   5. examples smoke: runs osp_cli end to end off the policy/scenario
 #      registries (list, gen | run pipe, a small bench grid) plus
-#      quickstart, so the examples cannot silently rot;
+#      quickstart, video_streaming, multihop_routing and
+#      adversarial_gadget, so the examples cannot silently rot;
 #   6. shard smoke: bench --shard / merge bit-identity round trip;
 #   7. adversarial dashboard: BENCH_adversarial.json regenerates byte-
 #      identically, re-passes the paper's-bounds gates, and the theorem3
@@ -75,7 +76,7 @@ if [[ "${mode}" == "quick" ]]; then
   echo
   echo "== quick mode: SKIPPED stages (CI runs them all) =="
   echo "   - clang-tidy baseline (scripts/run_tidy.sh; or check.sh --tidy)"
-  echo "   - examples smoke (osp_cli + quickstart)"
+  echo "   - examples smoke (osp_cli + quickstart + scenario examples)"
   echo "   - shard smoke (bench --shard / merge bit-identity)"
   echo "   - ASan/UBSan suites + bench_router --smoke"
   echo "   - TSan threaded suites + sustained smoke"
@@ -88,7 +89,7 @@ echo "== clang-tidy baseline (scripts/run_tidy.sh) =="
 scripts/run_tidy.sh
 
 echo
-echo "== examples smoke: osp_cli (registry-driven) + quickstart =="
+echo "== examples smoke: osp_cli (registry-driven) + quickstart + scenario examples =="
 ./build/osp_cli list > /dev/null
 ./build/osp_cli gen random --seed 3 | ./build/osp_cli run --alg randpr
 ./build/osp_cli bench --scenario random --alg randpr,greedy:maxw --trials 50
@@ -113,6 +114,9 @@ rm -f build/check_sustained_err.txt
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
+./build/video_streaming > /dev/null
+./build/multihop_routing > /dev/null
+./build/adversarial_gadget > /dev/null
 
 echo
 echo "== shard smoke: bench --shard / merge bit-identity =="
@@ -178,8 +182,8 @@ rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 echo
 echo "== sanitizers: ASan/UBSan build of fuzz + engine + queue tests =="
 cmake -B build-asan -S . -DOSP_SANITIZE=ON
-cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve bench_router
-(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|queue|serve)')
+cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_partial test_queue test_serve bench_router
+(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|partial|queue|serve)')
 
 echo
 echo "== sanitizers: bench_router --smoke (heap vs sort cross-check) =="

@@ -2,15 +2,14 @@
 //
 // These are the natural policies a router implementer would try first; the
 // paper's Theorem 3 shows every deterministic policy has competitive ratio
-// at least σmax^(kmax-1), and bench_det_lb drives each of these through the
-// adaptive adversary to demonstrate it.
+// at least σmax^(kmax-1), and bench_adversarial drives each of these
+// through the adaptive adversary to measure it (BENCH_adversarial.json).
 //
 // All baselines prefer sets that are still completable ("active"): choosing
 // a set that already lost an element can never increase the benefit.
 //
-// Every baseline implements the flat decide() path with reusable internal
-// scratch, so batch trials run allocation-free in steady state; the
-// allocating on_element() entry point is inherited from the base class.
+// Every baseline implements decide() with reusable internal scratch, so
+// batch trials run allocation-free in steady state.
 #pragma once
 
 #include <memory>

@@ -5,27 +5,23 @@
 // and parent-set list) and must immediately output at most b(u) of those
 // sets.  A set is completed iff it is chosen at every one of its elements.
 //
-// Three decision entry points exist:
-//   * decide()       — the flat path: reads candidates from a contiguous
+// That one step has two forms:
+//   * decide()       — one element: reads candidates from a contiguous
 //                      span and writes the choice into a caller-owned
-//                      buffer.  Zero allocations per call once an
-//                      implementation's internal scratch has warmed up.
-//   * decide_batch() — the block path: consumes a whole CSR arrival block
-//                      (contiguous (element, capacity, candidate-span)
-//                      records) in one virtual call and writes every
-//                      choice into one flat CSR-shaped output.  The
-//                      default loops over decide(), so every policy works
-//                      unchanged; hot policies override it with a block
-//                      kernel.  This is what the game engine, the batch
-//                      runner, and the router simulator drive.
-//   * on_element()   — the legacy allocating path, kept for adaptive
-//                      adversaries and tests that script answers directly.
-// Implementations override at least decide() or on_element(); each
-// default-forwards to the other, and ported algorithms implement decide()
-// and get the other two for free.
+//                      buffer.  Pure virtual; every policy implements it.
+//                      Zero allocations per call once an implementation's
+//                      internal scratch has warmed up.
+//   * decide_batch() — a whole CSR arrival block (contiguous (element,
+//                      capacity, candidate-span) records) in one virtual
+//                      call, every choice written into one flat
+//                      CSR-shaped output.  The default loops over
+//                      decide(); hot policies override it with a block
+//                      kernel.
+// Every engine (play_flat, play_flat_blocks, GameEngine and the net
+// simulators) drives one of the two and checks each answer with
+// check_answer() (core/game.hpp).
 #pragma once
 
-#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -126,44 +122,14 @@ class OnlineAlgorithm {
   virtual bool reseedable() const { return false; }
 
   /// Element `u` arrives with capacity `capacity` and parent sets
-  /// `candidates` (sorted, distinct).  Returns the chosen sets: a subset
-  /// of `candidates` with at most `capacity` entries, no duplicates.
-  ///
-  /// Default: adapts the flat decide() path.
-  virtual std::vector<SetId> on_element(ElementId u, Capacity capacity,
-                                        const std::vector<SetId>& candidates) {
-    DispatchGuard guard(*this);
-    std::vector<SetId> out(
-        std::min<std::size_t>(capacity, candidates.size()));
-    out.resize(decide(u, capacity, candidates.data(), candidates.size(),
-                      out.data()));
-    return out;
-  }
-
-  /// Allocation-free decision: candidates are `num_candidates` sorted,
-  /// distinct set ids; the choice is written to `out` and its length
-  /// returned.  `out` must have room for at least
+  /// `candidates` (`num_candidates` sorted, distinct ids).  Writes the
+  /// chosen sets to `out` — a subset of the candidates, no duplicates —
+  /// and returns their count.  `out` has room for
   /// min(capacity, num_candidates) entries, and implementations never
   /// write more than that.
-  ///
-  /// Default: adapts the legacy on_element() path (one allocation per
-  /// call) so un-ported algorithms run on the flat engine unchanged.  The
-  /// capacity check happens here, before the copy, so a buggy policy
-  /// overflows into a RequireError instead of the buffer.
   virtual std::size_t decide(ElementId u, Capacity capacity,
                              const SetId* candidates,
-                             std::size_t num_candidates, SetId* out) {
-    DispatchGuard guard(*this);
-    adapter_scratch_.assign(candidates, candidates + num_candidates);
-    std::vector<SetId> chosen = on_element(u, capacity, adapter_scratch_);
-    OSP_REQUIRE_MSG(chosen.size() <= capacity &&
-                        chosen.size() <= num_candidates,
-                    "algorithm chose " << chosen.size()
-                                       << " sets, capacity is " << capacity
-                                       << ", candidates " << num_candidates);
-    std::copy(chosen.begin(), chosen.end(), out);
-    return chosen.size();
-  }
+                             std::size_t num_candidates, SetId* out) = 0;
 
   /// Batched decision: consumes a whole CSR arrival block and writes all
   /// choices into `out` (offsets + ids, one row per block record).
@@ -174,9 +140,8 @@ class OnlineAlgorithm {
   /// block and per-element calls is always legal.  The fuzz suite in
   /// test_engine enforces this (traces included) for every policy.
   ///
-  /// Default: the per-element loop itself, so un-ported policies run on
-  /// the block engine unchanged; policies whose selection can amortize
-  /// across arrivals (randPr's SoA priority kernel) override it.
+  /// Default: the per-element loop itself; policies whose selection can
+  /// amortize across arrivals (randPr's SoA priority kernel) override it.
   virtual void decide_batch(const ArrivalBlock& block, BlockScratch& scratch,
                             BlockChoices& out) {
     (void)scratch;
@@ -188,24 +153,6 @@ class OnlineAlgorithm {
                                       num_candidates, choice);
                       });
   }
-
- private:
-  // Each default entry point forwards to the other, so a subclass
-  // overriding neither would recurse forever; the guard turns that
-  // programming error into a RequireError on the first decision.
-  struct DispatchGuard {
-    explicit DispatchGuard(OnlineAlgorithm& alg) : alg_(alg) {
-      OSP_REQUIRE_MSG(!alg_.in_default_dispatch_,
-                      "algorithm overrides neither on_element() nor "
-                      "decide()");
-      alg_.in_default_dispatch_ = true;
-    }
-    ~DispatchGuard() { alg_.in_default_dispatch_ = false; }
-    OnlineAlgorithm& alg_;
-  };
-
-  std::vector<SetId> adapter_scratch_;  // reused by the default decide()
-  bool in_default_dispatch_ = false;
 };
 
 /// Base class that tracks which sets are still "active" — chosen at every
@@ -254,12 +201,6 @@ class ActiveTracking : public OnlineAlgorithm {
       ++counts_[candidates[i]].seen;
     for (std::size_t i = 0; i < num_chosen; ++i)
       ++counts_[chosen[i]].progress;
-  }
-
-  void record(const std::vector<SetId>& candidates,
-              const std::vector<SetId>& chosen) {
-    record(candidates.data(), candidates.size(), chosen.data(),
-           chosen.size());
   }
 
  private:

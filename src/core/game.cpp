@@ -6,35 +6,25 @@
 
 namespace osp {
 
-namespace {
-
-// Validates one answer against the rules; throws on violation.  Legacy
-// (allocating) form used by play_reference and GameEngine's public API.
-void check_answer(const std::vector<SetId>& chosen,
-                  const std::vector<SetId>& candidates, Capacity capacity) {
-  OSP_REQUIRE_MSG(chosen.size() <= capacity,
-                  "algorithm chose " << chosen.size()
-                                     << " sets, capacity is " << capacity);
-  std::vector<SetId> sorted = chosen;
-  std::sort(sorted.begin(), sorted.end());
-  OSP_REQUIRE_MSG(
-      std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end(),
-      "algorithm chose a set twice for one element");
-  for (SetId s : sorted)
-    OSP_REQUIRE_MSG(
-        std::binary_search(candidates.begin(), candidates.end(), s),
-        "algorithm chose set " << s << " not containing the element");
-}
-
-// Allocation-free form of the same rules.  The chosen list is at most
-// `capacity` entries, so the quadratic duplicate scan is O(b(u)^2) with
-// b(u) tiny in practice — far cheaper than the copy + sort it replaces.
-void check_answer_flat(const SetId* chosen, std::size_t num_chosen,
-                       const SetId* candidates, std::size_t num_candidates,
-                       Capacity capacity) {
+// The chosen list is at most `capacity` entries, so the quadratic
+// duplicate scan is O(b(u)^2) with b(u) tiny in practice — far cheaper
+// than a copy + sort.  The single choice (the unit-capacity common case)
+// cannot duplicate, and a short sorted candidate list is cheaper to scan
+// linearly than to binary-search.
+void check_answer(const SetId* chosen, std::size_t num_chosen,
+                  const SetId* candidates, std::size_t num_candidates,
+                  Capacity capacity) {
   OSP_REQUIRE_MSG(num_chosen <= capacity,
                   "algorithm chose " << num_chosen
                                      << " sets, capacity is " << capacity);
+  if (num_chosen == 1 && num_candidates <= 8) {
+    bool found = false;
+    for (std::size_t j = 0; j < num_candidates; ++j)
+      found |= candidates[j] == chosen[0];
+    OSP_REQUIRE_MSG(found, "algorithm chose set "
+                               << chosen[0] << " not containing the element");
+    return;
+  }
   for (std::size_t i = 0; i < num_chosen; ++i) {
     OSP_REQUIRE_MSG(std::binary_search(candidates,
                                        candidates + num_candidates,
@@ -47,8 +37,9 @@ void check_answer_flat(const SetId* chosen, std::size_t num_chosen,
   }
 }
 
-template <class Count>
-void score(const Instance& inst, const std::vector<Count>& got,
+namespace {
+
+void score(const Instance& inst, const std::vector<std::uint32_t>& got,
            Outcome& out) {
   out.completed_mask.assign(inst.num_sets(), false);
   for (SetId s = 0; s < inst.num_sets(); ++s) {
@@ -80,8 +71,8 @@ Outcome play_flat(const Instance& inst, OnlineAlgorithm& alg,
     const Capacity cap = inst.capacity(u);
     std::size_t n = alg.decide(u, cap, parents.data(), parents.size(),
                                scratch.chosen.data());
-    check_answer_flat(scratch.chosen.data(), n, parents.data(),
-                      parents.size(), cap);
+    check_answer(scratch.chosen.data(), n, parents.data(), parents.size(),
+                 cap);
     for (std::size_t i = 0; i < n; ++i) ++scratch.got[scratch.chosen[i]];
     out.decisions += n;
   }
@@ -125,36 +116,13 @@ Outcome play_flat_blocks(const Instance& inst, OnlineAlgorithm& alg,
       out.decisions += choices.offsets.back();
       continue;
     }
-    // The same rules as the per-element path, applied to each packed row.
-    // The single-choice row (the unit-capacity common case) is validated
-    // inline — a short sorted candidate list is cheaper to scan linearly
-    // than to binary-search, and one choice cannot duplicate — so the
-    // whole validation pass stays branch-lean; general rows take the
-    // shared check.
+    // The same rule as the per-element path, applied to each packed row.
     for (std::size_t i = 0; i < count; ++i) {
       const std::size_t n = choices.num_chosen(i);
-      if (n == 0) continue;  // choosing nothing is always legal
       const SetId* chosen = choices.chosen_of(i);
-      const SetId* cand = block.candidates_of(i);
-      const std::size_t num_cand = block.num_candidates(i);
-      if (n == 1) {
-        const SetId f = chosen[0];
-        bool found;
-        if (num_cand <= 8) {
-          found = false;
-          for (std::size_t j = 0; j < num_cand; ++j) found |= cand[j] == f;
-        } else {
-          found = std::binary_search(cand, cand + num_cand, f);
-        }
-        OSP_REQUIRE_MSG(block.capacity(i) >= 1 && found,
-                        "algorithm chose set "
-                            << f << (found ? " beyond capacity 0"
-                                           : " not containing the element"));
-        ++scratch.got[f];
-      } else {
-        check_answer_flat(chosen, n, cand, num_cand, block.capacity(i));
-        for (std::size_t j = 0; j < n; ++j) ++scratch.got[chosen[j]];
-      }
+      check_answer(chosen, n, block.candidates_of(i), block.num_candidates(i),
+                   block.capacity(i));
+      for (std::size_t j = 0; j < n; ++j) ++scratch.got[chosen[j]];
     }
     out.decisions += choices.offsets.back();
   }
@@ -170,32 +138,6 @@ Outcome play_flat_blocks(const Instance& inst, OnlineAlgorithm& alg,
 Outcome play(const Instance& inst, OnlineAlgorithm& alg) {
   PlayScratch scratch;
   return play_flat(inst, alg, scratch);
-}
-
-Outcome play_reference(const Instance& inst, OnlineAlgorithm& alg) {
-  std::vector<SetMeta> metas(inst.num_sets());
-  for (SetId s = 0; s < inst.num_sets(); ++s)
-    metas[s] = SetMeta{inst.weight(s), inst.set_size(s)};
-  alg.start(metas);
-
-  std::vector<std::size_t> got(inst.num_sets(), 0);
-  Outcome out;
-
-  // Reused buffer: the seed engine handed on_element the stored parent
-  // vector; with CSR storage the row is re-materialized, but not with a
-  // fresh allocation per arrival.
-  std::vector<SetId> parents;
-  for (ElementId u = 0; u < inst.num_elements(); ++u) {
-    const ArrivalView a = inst.arrival(u);
-    parents.assign(a.parents.begin(), a.parents.end());
-    std::vector<SetId> chosen = alg.on_element(u, a.capacity, parents);
-    check_answer(chosen, parents, a.capacity);
-    for (SetId s : chosen) ++got[s];
-    out.decisions += chosen.size();
-  }
-
-  score(inst, got, out);
-  return out;
 }
 
 GameEngine::GameEngine(std::vector<SetMeta> sets, OnlineAlgorithm& alg)
@@ -216,8 +158,7 @@ std::vector<SetId> GameEngine::step(const std::vector<SetId>& parents,
   if (chosen_.size() < capacity) chosen_.resize(capacity);
   std::size_t n = alg_.decide(next_element_++, capacity, sorted_.data(),
                               sorted_.size(), chosen_.data());
-  check_answer_flat(chosen_.data(), n, sorted_.data(), sorted_.size(),
-                    capacity);
+  check_answer(chosen_.data(), n, sorted_.data(), sorted_.size(), capacity);
   decisions_ += n;
 
   for (SetId s : sorted_) {

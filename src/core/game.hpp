@@ -1,20 +1,20 @@
 // The online game engine: feeds an instance to an algorithm, enforces the
 // rules of osp, and scores the outcome.
 //
-// Three engines share one rule set:
-//   * play()/play_flat()  — the flat engine: drives the allocation-free
-//     decide() path with caller-owned reusable buffers (PlayScratch), so a
-//     steady-state trial performs zero heap allocations per element.
+// Two loops share one rule check (check_answer):
+//   * play()/play_flat()  — the flat engine: drives decide() per element
+//     with caller-owned reusable buffers (PlayScratch), so a steady-state
+//     trial performs zero heap allocations per element.
 //   * play_flat_blocks()  — the block engine: drives decide_batch() over
 //     contiguous CSR arrival blocks (one virtual call per block), then
 //     validates and scores the packed choices per element.  Decision-
 //     identical to play_flat by the decide_batch contract; what the batch
-//     runner and bench_perf's "block" mode use.
-//   * play_reference()    — the seed engine, preserved verbatim as the
-//     golden reference: drives on_element() and validates with the
-//     original allocating checks.  The fuzz suite proves all engines
-//     produce identical Outcomes (including the decision traces) for
-//     every algorithm in the library.
+//     runner and the unbuffered router use.
+// GameEngine steps the same check one adaptive arrival at a time, and
+// partial-credit scoring (core/partial) and the net simulators are built
+// on these loops.  The seed engine survives only as the golden oracle in
+// src/testing/seed_reference.hpp; the fuzz suite proves both loops
+// produce its Outcomes and decision traces for every library policy.
 #pragma once
 
 #include <vector>
@@ -42,16 +42,25 @@ struct PlayScratch {
   BlockChoices block_choices;        // decide_batch flat output
 };
 
+/// The answer rule of one online step: `chosen` must be a duplicate-free
+/// subset of the sorted `candidates` with at most `capacity` entries.
+/// Throws RequireError otherwise (an algorithm bug, not an input
+/// condition).  The count is checked before any entry is read, so a
+/// policy that reports more choices than `capacity` is rejected without
+/// reading past the room it was given.
+void check_answer(const SetId* chosen, std::size_t num_chosen,
+                  const SetId* candidates, std::size_t num_candidates,
+                  Capacity capacity);
+
 /// Runs `alg` over `inst` from the beginning and scores it.
 ///
-/// Enforces the osp rules: each answer must be a duplicate-free subset of
-/// the candidates with at most b(u) entries; violations throw RequireError
-/// (an algorithm bug, not an input condition).  A set is completed iff it
+/// Every answer goes through check_answer().  A set is completed iff it
 /// was chosen at every one of its elements; empty sets complete vacuously.
 Outcome play(const Instance& inst, OnlineAlgorithm& alg);
 
 /// play() with caller-owned scratch: identical semantics, but all engine
 /// buffers are reused across calls (the batch runner's per-thread path).
+/// On return scratch.got holds the elements each set received.
 Outcome play_flat(const Instance& inst, OnlineAlgorithm& alg,
                   PlayScratch& scratch);
 
@@ -63,11 +72,6 @@ Outcome play_flat(const Instance& inst, OnlineAlgorithm& alg,
 /// every policy at several block sizes.
 Outcome play_flat_blocks(const Instance& inst, OnlineAlgorithm& alg,
                          PlayScratch& scratch, std::size_t block_size = 0);
-
-/// The seed engine, kept as the golden reference for equivalence tests:
-/// drives the allocating on_element() path exactly as the original
-/// implementation did.  Semantically identical to play().
-Outcome play_reference(const Instance& inst, OnlineAlgorithm& alg);
 
 /// Incremental engine used by adaptive adversaries (Theorem 3), which must
 /// interleave construction of the arrival sequence with the algorithm's

@@ -35,8 +35,8 @@ struct PartialOutcome {
   Weight benefit = 0;
 };
 
-/// Runs `alg` over `inst` (identical online rules to play()) but scores
-/// the result with partial credit.  The classic game is the special case
+/// Runs `alg` over `inst` through play_flat() (so under the same answer
+/// rule) and scores the per-set counts with partial credit.  The classic game is the special case
 /// rule = {0, false}.
 PartialOutcome play_partial(const Instance& inst, OnlineAlgorithm& alg,
                             const PartialCreditRule& rule);

@@ -44,19 +44,31 @@ void FrameSchedule::validate() const {
 Instance FrameSchedule::to_instance(Capacity link_capacity) const {
   OSP_REQUIRE(link_capacity >= 1);
   validate();
+  CsrArray<SetId> slot_frames;
+  std::vector<std::size_t> sizes, fill;
+  pack_slot_frames(*this, slot_frames, sizes, fill);
+
   InstanceBuilder builder;
   for (const Frame& f : frames) builder.add_set(f.weight);
-
-  std::vector<std::vector<SetId>> slot_frames(horizon);
-  for (std::size_t fi = 0; fi < frames.size(); ++fi)
-    for (std::size_t slot : frames[fi].packet_slots)
-      slot_frames[slot].push_back(static_cast<SetId>(fi));
-
   for (std::size_t slot = 0; slot < horizon; ++slot) {
-    if (slot_frames[slot].empty()) continue;
-    builder.add_element(std::move(slot_frames[slot]), link_capacity);
+    if (slot_frames.row_size(slot) == 0) continue;
+    builder.add_element(slot_frames.row(slot), link_capacity);
   }
   return builder.build();
+}
+
+void pack_slot_frames(const FrameSchedule& schedule,
+                      CsrArray<SetId>& slot_frames,
+                      std::vector<std::size_t>& sizes,
+                      std::vector<std::size_t>& fill) {
+  sizes.assign(schedule.horizon, 0);
+  for (const Frame& f : schedule.frames)
+    for (std::size_t slot : f.packet_slots) ++sizes[slot];
+  slot_frames.assign_sizes(sizes.data(), sizes.size());
+  fill.assign(schedule.horizon, 0);
+  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
+    for (std::size_t slot : schedule.frames[fi].packet_slots)
+      slot_frames.mutable_row(slot)[fill[slot]++] = static_cast<SetId>(fi);
 }
 
 }  // namespace osp

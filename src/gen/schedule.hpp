@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/csr.hpp"
 #include "core/instance.hpp"
 
 namespace osp {
@@ -44,5 +45,16 @@ struct FrameSchedule {
   /// horizon); throws RequireError if violated.
   void validate() const;
 };
+
+/// Packs a validated schedule's bursts into one CSR row per slot (empty
+/// slots give empty rows) in the canonical arrival order: slot-major,
+/// ascending frame id within a slot.  A counting pass sizes the rows in
+/// place, then a scatter pass fills them — two contiguous sweeps, no
+/// per-slot vectors.  `sizes` and `fill` are caller-owned scratch, so a
+/// call with warm buffers allocates nothing.
+void pack_slot_frames(const FrameSchedule& schedule,
+                      CsrArray<SetId>& slot_frames,
+                      std::vector<std::size_t>& sizes,
+                      std::vector<std::size_t>& fill);
 
 }  // namespace osp

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "core/game.hpp"
 #include "util/require.hpp"
 
 namespace osp {
@@ -42,30 +43,34 @@ PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
       occupancy[{workload.inject_time[p] + i, workload.entry_hop[p] + i}]
           .push_back(p);
 
+  std::vector<SetId> present, chosen;
   for (auto& [key, at_slot] : occupancy) {
     const std::size_t hop = key.second;
     OSP_REQUIRE(hop < num_switches);
 
     // A packet dropped upstream never reaches this hop: the sweep visits
     // (t-1, h-1) before (t, h), so alive[] is already up to date.
-    std::vector<SetId> present;
+    present.clear();
     for (SetId p : at_slot)
       if (alive[p]) present.push_back(p);
     if (present.empty()) continue;
     std::sort(present.begin(), present.end());
 
-    std::vector<SetId> chosen = policies[hop]->on_element(
-        local_element[hop]++, link_capacity, present);
-    OSP_REQUIRE(chosen.size() <= link_capacity);
+    const std::size_t room =
+        std::min<std::size_t>(link_capacity, present.size());
+    if (chosen.size() < room) chosen.resize(room);
+    const std::size_t n =
+        policies[hop]->decide(local_element[hop]++, link_capacity,
+                              present.data(), present.size(), chosen.data());
+    check_answer(chosen.data(), n, present.data(), present.size(),
+                 link_capacity);
 
-    std::vector<bool> won(num_packets, false);
-    for (SetId p : chosen) won[p] = true;
-    for (SetId p : present) {
-      if (won[p]) {
-        ++hops_won[p];
-      } else {
-        alive[p] = false;
-      }
+    // The answer is a duplicate-free subset of `present`: every present
+    // packet loses the hop except the at most link_capacity winners.
+    for (SetId p : present) alive[p] = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      alive[chosen[i]] = true;
+      ++hops_won[chosen[i]];
     }
   }
 

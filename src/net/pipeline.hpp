@@ -39,7 +39,8 @@ using SwitchPolicyFactory =
 
 /// Runs the workload through the pipeline.  At each (time, hop) pair the
 /// packets present compete for `link_capacity` slots, decided by that
-/// switch's policy; losers are dropped on the spot.
+/// switch's policy through decide() and checked by check_answer(); losers
+/// are dropped on the spot.
 PipelineStats simulate_pipeline(const MultiHopWorkload& workload,
                                 std::size_t num_switches,
                                 const SwitchPolicyFactory& make_policy,

@@ -1,8 +1,8 @@
 #include "net/router_sim.hpp"
 
 #include <algorithm>
-#include <cassert>
 
+#include "core/game.hpp"
 #include "core/priority.hpp"
 #include "util/require.hpp"
 
@@ -23,24 +23,6 @@ std::vector<SetMeta> frame_metas(const FrameSchedule& schedule) {
   return metas;
 }
 
-// Packs every slot's arrival burst into one CSR row (ascending frame id,
-// matching arrival order): a counting pass sizes the rows in place, then a
-// scatter pass fills them — two contiguous sweeps, no per-slot vectors,
-// and zero allocations when the scratch is warm.
-void build_slot_frames(const FrameSchedule& schedule,
-                       CsrArray<SetId>& slot_frames,
-                       std::vector<std::size_t>& sizes,
-                       std::vector<std::size_t>& fill) {
-  sizes.assign(schedule.horizon, 0);
-  for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++sizes[slot];
-  slot_frames.assign_sizes(sizes.data(), sizes.size());
-  fill.assign(schedule.horizon, 0);
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
-    for (std::size_t slot : schedule.frames[fi].packet_slots)
-      slot_frames.mutable_row(slot)[fill[slot]++] = static_cast<SetId>(fi);
-}
-
 void tally_frames(const FrameSchedule& schedule,
                   const std::vector<std::size_t>& served_per_frame,
                   RouterStats& stats) {
@@ -58,71 +40,20 @@ void tally_frames(const FrameSchedule& schedule,
 
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate) {
-  OSP_REQUIRE(service_rate >= 1);
-  schedule.validate();
-  alg.start(frame_metas(schedule));
+  const Instance inst = schedule.to_instance(service_rate);
+  PlayScratch scratch;
+  const Outcome out = play_flat_blocks(inst, alg, scratch);
 
-  // Pack the non-empty bursts into one CSR array up front: row e is the
-  // e-th non-empty slot, exactly the element numbering of the paper's
-  // reduction (to_instance skips empty slots too).  A counting pass sizes
-  // the compact rows, a scatter pass fills them in ascending frame id —
-  // the order the packets arrive in.
-  const std::size_t horizon = schedule.horizon;
-  std::vector<std::size_t> sizes(horizon, 0);
-  for (const Frame& f : schedule.frames)
-    for (std::size_t slot : f.packet_slots) ++sizes[slot];
-
-  std::vector<std::size_t> row_of(horizon, 0);
-  std::vector<std::size_t> compact_sizes;
-  for (std::size_t slot = 0; slot < horizon; ++slot) {
-    if (sizes[slot] == 0) continue;
-    row_of[slot] = compact_sizes.size();
-    compact_sizes.push_back(sizes[slot]);
-  }
-
-  CsrArray<SetId> bursts;
-  bursts.assign_sizes(compact_sizes.data(), compact_sizes.size());
-  std::vector<std::size_t> fill(compact_sizes.size(), 0);
-  for (std::size_t fi = 0; fi < schedule.frames.size(); ++fi)
-    for (std::size_t slot : schedule.frames[fi].packet_slots) {
-      const std::size_t r = row_of[slot];
-      bursts.mutable_row(r)[fill[r]++] = static_cast<SetId>(fi);
-    }
-
+  // Every packet is one (slot, frame) incidence of the instance, and every
+  // decision serves one packet.
   RouterStats stats;
-  stats.packets_arrived = bursts.total_values();
-  std::vector<std::size_t> served(schedule.frames.size(), 0);
-
-  // Feed the whole run to decide_batch in arrival blocks; each block's
-  // packed choices are then validated and tallied per slot under the same
-  // rules the per-element path enforced.  Every slot has the same
-  // capacity, so one block-sized constant array serves all blocks.
-  const std::size_t num_rows = bursts.num_rows();
-  const std::vector<Capacity> capacities(
-      std::min(num_rows, kDefaultDecideBlock), service_rate);
-  BlockScratch scratch;
-  BlockChoices choices;
-  for (std::size_t base = 0; base < num_rows; base += kDefaultDecideBlock) {
-    const std::size_t count = std::min(kDefaultDecideBlock, num_rows - base);
-    const ArrivalBlock block{static_cast<ElementId>(base), count,
-                             capacities.data(), bursts.values().data(),
-                             bursts.offsets().data() + base};
-    alg.decide_batch(block, scratch, choices);
-    for (std::size_t i = 0; i < count; ++i) {
-      const Span<SetId> burst = block.candidate_span(i);
-      assert(std::is_sorted(burst.begin(), burst.end()));
-      const std::size_t n = choices.num_chosen(i);
-      OSP_REQUIRE(n <= service_rate);
-      for (std::size_t j = 0; j < n; ++j) {
-        SetId f = choices.chosen_of(i)[j];
-        OSP_REQUIRE(std::binary_search(burst.begin(), burst.end(), f));
-        ++served[f];
-        ++stats.packets_served;
-      }
-      stats.packets_dropped += burst.size() - n;
-    }
-  }
-  tally_frames(schedule, served, stats);
+  stats.packets_arrived = schedule.total_packets();
+  stats.packets_served = out.decisions;
+  stats.packets_dropped = stats.packets_arrived - stats.packets_served;
+  stats.frames_total = schedule.frames.size();
+  stats.frames_delivered = out.completed.size();
+  for (const Frame& f : schedule.frames) stats.value_total += f.weight;
+  stats.value_delivered = out.benefit;
   return stats;
 }
 
@@ -159,7 +90,7 @@ RouterStats simulate_buffered_router(const FrameSchedule& schedule,
   BufferedRouterScratch& s = scratch != nullptr ? *scratch : local;
   frame_metas(schedule, s.metas);
   ranker.start(s.metas);
-  build_slot_frames(schedule, s.slot_frames, s.burst_sizes, s.fill);
+  pack_slot_frames(schedule, s.slot_frames, s.burst_sizes, s.fill);
   s.served.assign(schedule.frames.size(), 0);
   PacketQueue& queue = s.queue;
   queue.reset(schedule.frames.size());
@@ -224,7 +155,7 @@ RouterStats simulate_buffered_router_reference(
 
   CsrArray<SetId> slot_frames;
   std::vector<std::size_t> sizes, fill;
-  build_slot_frames(schedule, slot_frames, sizes, fill);
+  pack_slot_frames(schedule, slot_frames, sizes, fill);
 
   struct QueuedPacket {
     SetId frame;

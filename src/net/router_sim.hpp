@@ -1,9 +1,10 @@
 // Discrete-time bottleneck-router simulator.
 //
-// Unbuffered mode implements the paper's model exactly: in each slot a
-// burst of packets arrives, the link serves `service_rate` of them, and
-// the rest are lost — so a run is equivalent, frame for frame, to playing
-// the osp game on FrameSchedule::to_instance (tested in test_net.cpp).
+// Unbuffered mode is the paper's model exactly: in each slot a burst of
+// packets arrives, the link serves `service_rate` of them, and the rest
+// are lost.  It runs as the paper's reduction — the osp game on
+// FrameSchedule::to_instance, played by play_flat_blocks — so the engine's
+// answer rule and scoring are the router's.
 //
 // Buffered mode probes the paper's open problem 2 ("the effect of
 // buffers"): packets that lose the link can wait in a bounded buffer.
@@ -57,11 +58,10 @@ struct RouterStats {
 };
 
 /// Unbuffered router: `alg` decides which arriving packets to serve in
-/// each slot (at most `service_rate`), all others are lost.  Equivalent to
-/// the osp game on schedule.to_instance(service_rate).  The per-slot
-/// bursts are packed into one CSR array up front and fed to the
-/// algorithm's decide_batch() in arrival blocks, so a whole run costs a
-/// handful of virtual calls rather than one per slot.
+/// each slot (at most `service_rate`), all others are lost.  Plays
+/// schedule.to_instance(service_rate) through play_flat_blocks (slots with
+/// no packets are not elements) and reports the Outcome as packet and
+/// frame counters; an answer that breaks the rule throws RequireError.
 RouterStats simulate_router(const FrameSchedule& schedule,
                             OnlineAlgorithm& alg, Capacity service_rate = 1);
 
@@ -156,13 +156,13 @@ struct RouterTrace {
 /// Reusable working state for simulate_buffered_router; pass the same
 /// scratch to successive runs (one per worker thread) and the steady
 /// state performs no heap allocations.  Per-slot arrival bursts are
-/// packed into one CSR array (one row per slot) instead of a
-/// vector-of-vectors, so feeding a slot's burst is a contiguous scan.
+/// packed into one CSR array (pack_slot_frames, one row per slot), so
+/// feeding a slot's burst is a contiguous scan.
 struct BufferedRouterScratch {
   PacketQueue queue;
   CsrArray<SetId> slot_frames;          // row = slot's burst, ascending ids
-  std::vector<std::size_t> burst_sizes; // counting-pass scratch
-  std::vector<std::size_t> fill;        // scatter-pass cursors
+  std::vector<std::size_t> burst_sizes; // pack_slot_frames scratch
+  std::vector<std::size_t> fill;        // pack_slot_frames scratch
   std::vector<SetMeta> metas;
   std::vector<std::size_t> served;
 };

@@ -73,20 +73,14 @@ Prepared prepare(const FrameSchedule& schedule,
     prep.link_streams[s % spec.links].push_back(s);
 
   // Global canonical arrival order: slot-major, frame id ascending within
-  // a slot — exactly the order the single-link buffered router assigns
-  // seqs in (build_slot_frames in router_sim.cpp), so a links=1 run is
-  // packet-for-packet the same process.
+  // a slot — the same pack_slot_frames order the single-link buffered
+  // router assigns seqs in, so a links=1 run is packet-for-packet the
+  // same process.
   const std::size_t horizon = schedule.horizon;
   CsrArray<SetId> slot_frames;
   {
-    std::vector<std::size_t> sizes(horizon, 0);
-    for (const Frame& f : schedule.frames)
-      for (std::size_t slot : f.packet_slots) ++sizes[slot];
-    slot_frames.assign_sizes(sizes.data(), sizes.size());
-    std::vector<std::size_t> fill(horizon, 0);
-    for (std::size_t fi = 0; fi < num_frames; ++fi)
-      for (std::size_t slot : schedule.frames[fi].packet_slots)
-        slot_frames.mutable_row(slot)[fill[slot]++] = static_cast<SetId>(fi);
+    std::vector<std::size_t> sizes, fill;
+    pack_slot_frames(schedule, slot_frames, sizes, fill);
   }
 
   // Scatter the canonical stream into per-link arrival CSRs, tagging each

@@ -1,6 +1,7 @@
 // Frozen replicas of the SEED repo's engine and randPr implementation,
 // kept verbatim from the pre-flat-engine sources (see git history of
-// src/core/game.cpp and src/core/rand_pr.cpp).
+// src/core/game.cpp and src/core/rand_pr.cpp), and the seed's allocating
+// per-element interface they were written against.
 //
 // Single source of truth for both the golden-equivalence tests
 // (tests/test_engine.cpp) and the throughput baseline (bench/bench_perf):
@@ -21,16 +22,70 @@
 
 namespace osp::seedref {
 
+/// The seed's decision interface: element `u` arrives with an owned
+/// vector of candidates and the answer comes back as a fresh vector.
+/// seed_play drives on_element(); decide() adapts it, so a replica also
+/// runs on the library engines.
+class SeedAlgorithm : public ActiveTracking {
+ public:
+  virtual std::vector<SetId> on_element(
+      ElementId u, Capacity capacity, const std::vector<SetId>& candidates) = 0;
+
+  std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
+                     std::size_t num_candidates, SetId* out) final {
+    candidates_.assign(candidates, candidates + num_candidates);
+    const std::vector<SetId> chosen = on_element(u, capacity, candidates_);
+    OSP_REQUIRE(chosen.size() <= std::min<std::size_t>(capacity,
+                                                       num_candidates));
+    std::copy(chosen.begin(), chosen.end(), out);
+    return chosen.size();
+  }
+
+ protected:
+  using ActiveTracking::record;
+  void record(const std::vector<SetId>& candidates,
+              const std::vector<SetId>& chosen) {
+    record(candidates.data(), candidates.size(), chosen.data(),
+           chosen.size());
+  }
+
+ private:
+  std::vector<SetId> candidates_;
+};
+
+/// Drives any library policy through seed_play: on_element() answers with
+/// the policy's decide(), and start() goes straight to the policy.
+class PolicyAsSeed final : public SeedAlgorithm {
+ public:
+  explicit PolicyAsSeed(OnlineAlgorithm& policy) : policy_(policy) {}
+  std::string name() const override { return policy_.name(); }
+  void start(const std::vector<SetMeta>& sets) override {
+    policy_.start(sets);
+  }
+  std::vector<SetId> on_element(
+      ElementId u, Capacity capacity,
+      const std::vector<SetId>& candidates) override {
+    std::vector<SetId> chosen(
+        std::min<std::size_t>(capacity, candidates.size()));
+    chosen.resize(policy_.decide(u, capacity, candidates.data(),
+                                 candidates.size(), chosen.data()));
+    return chosen;
+  }
+
+ private:
+  OnlineAlgorithm& policy_;
+};
+
 /// The seed repo's RandPr: allocating on_element, partial_sort selection,
 /// unconditional activity bookkeeping.  Options-complete.
-class SeedRandPr final : public ActiveTracking {
+class SeedRandPr final : public SeedAlgorithm {
  public:
   explicit SeedRandPr(Rng rng, RandPrOptions options = {})
       : rng_(rng), options_(options) {}
   std::string name() const override { return "seed-randPr"; }
 
   void start(const std::vector<SetMeta>& sets) override {
-    ActiveTracking::start(sets);
+    SeedAlgorithm::start(sets);
     priorities_.resize(sets.size());
     for (SetId s = 0; s < sets.size(); ++s) {
       double w =
@@ -92,8 +147,10 @@ struct Arrival {
 /// The seed engine's play(), line for line, over pre-materialized arrivals
 /// (the seed stored arrivals as vectors, so its loop paid no CSR-to-vector
 /// conversion — callers pre-build `arrivals` outside any timed region).
-inline Outcome seed_play(const Instance& inst, OnlineAlgorithm& alg,
-                         const std::vector<Arrival>& arrivals) {
+/// When `trace` is given, every answer is appended to it in arrival order.
+inline Outcome seed_play(const Instance& inst, SeedAlgorithm& alg,
+                         const std::vector<Arrival>& arrivals,
+                         std::vector<std::vector<SetId>>* trace = nullptr) {
   std::vector<SetMeta> metas(inst.num_sets());
   for (SetId s = 0; s < inst.num_sets(); ++s)
     metas[s] = SetMeta{inst.weight(s), inst.set_size(s)};
@@ -106,6 +163,7 @@ inline Outcome seed_play(const Instance& inst, OnlineAlgorithm& alg,
   for (ElementId u = 0; u < inst.num_elements(); ++u) {
     const Arrival& a = arrivals[u];
     std::vector<SetId> chosen = alg.on_element(u, a.capacity, a.parents);
+    if (trace != nullptr) trace->push_back(chosen);
     {  // seed check_answer: copy, sort, binary-search
       OSP_REQUIRE(chosen.size() <= a.capacity);
       std::vector<SetId> sorted = chosen;

@@ -2,7 +2,7 @@
 // and seed algorithms, batch-runner determinism, and scratch reuse.
 //
 // The equivalence suite works at two levels:
-//  * engine level — play() / play_flat() must reproduce play_reference()
+//  * engine level — play() / play_flat() must reproduce seedref::seed_play
 //    (the seed engine, preserved verbatim) exactly, including the
 //    per-element decision traces, for every algorithm in the library;
 //  * algorithm level — the ported decide() implementations must reproduce
@@ -32,7 +32,7 @@ namespace {
 // Seed algorithm replicas (verbatim from the pre-refactor sources).
 
 /// The seed repo's greedy-maxw baseline: stable_sort selection.
-class SeedGreedyMaxWeight final : public ActiveTracking {
+class SeedGreedyMaxWeight final : public seedref::SeedAlgorithm {
  public:
   std::string name() const override { return "seed-greedy-maxw"; }
   std::vector<SetId> on_element(
@@ -61,11 +61,11 @@ class SeedGreedyMaxWeight final : public ActiveTracking {
 };
 
 /// The seed repo's round-robin baseline, cursor behaviour included.
-class SeedRoundRobin final : public ActiveTracking {
+class SeedRoundRobin final : public seedref::SeedAlgorithm {
  public:
   std::string name() const override { return "seed-round-robin"; }
   void start(const std::vector<SetMeta>& sets) override {
-    ActiveTracking::start(sets);
+    SeedAlgorithm::start(sets);
     cursor_ = 0;
   }
   std::vector<SetId> on_element(
@@ -98,7 +98,7 @@ class SeedRoundRobin final : public ActiveTracking {
 };
 
 /// The seed repo's uniform-random baseline: identical Rng draw sequence.
-class SeedUniformRandomChoice final : public ActiveTracking {
+class SeedUniformRandomChoice final : public seedref::SeedAlgorithm {
  public:
   explicit SeedUniformRandomChoice(Rng rng) : rng_(rng) {}
   std::string name() const override { return "seed-uniform-random"; }
@@ -128,20 +128,13 @@ class SeedUniformRandomChoice final : public ActiveTracking {
 // ---------------------------------------------------------------------
 // Helpers.
 
-/// Wraps an algorithm and records every answer it gives, on any path.
+/// Wraps an algorithm and records every answer it gives, on either path.
 class Recording final : public OnlineAlgorithm {
  public:
   explicit Recording(OnlineAlgorithm& inner) : inner_(inner) {}
   std::string name() const override { return inner_.name(); }
   void start(const std::vector<SetMeta>& sets) override {
     inner_.start(sets);
-  }
-  std::vector<SetId> on_element(
-      ElementId u, Capacity capacity,
-      const std::vector<SetId>& candidates) override {
-    std::vector<SetId> chosen = inner_.on_element(u, capacity, candidates);
-    trace.push_back(chosen);
-    return chosen;
   }
   std::size_t decide(ElementId u, Capacity capacity, const SetId* candidates,
                      std::size_t num_candidates, SetId* out) override {
@@ -236,6 +229,9 @@ TEST(GoldenEquivalence, FlatEngineMatchesSeedEngineForAllAlgorithms) {
     Rng gen = master.split(round);
     Instance inst = fuzz_instance(round, gen);
 
+    const std::vector<seedref::Arrival> arrivals =
+        seedref::materialize_arrivals(inst);
+
     for (const Maker& mk : all_policy_makers()) {
       Rng seed_rng = master.split(1000 + round);
       auto ref_alg = mk.make(seed_rng);
@@ -245,13 +241,14 @@ TEST(GoldenEquivalence, FlatEngineMatchesSeedEngineForAllAlgorithms) {
       Recording ref_rec(*ref_alg);
       Recording flat_rec(*flat_alg);
 
-      Outcome ref = play_reference(inst, ref_rec);
+      seedref::PolicyAsSeed ref_seed(ref_rec);
+      Outcome ref = seedref::seed_play(inst, ref_seed, arrivals);
       Outcome flat = play_flat(inst, flat_rec, scratch);
       Outcome plain = play(inst, *plain_alg);
 
       const std::string what = mk.label + " round " + std::to_string(round);
-      expect_same_outcome(ref, flat, what + " (reference vs flat)");
-      expect_same_outcome(ref, plain, what + " (reference vs play)");
+      expect_same_outcome(ref, flat, what + " (seed engine vs flat)");
+      expect_same_outcome(ref, plain, what + " (seed engine vs play)");
       EXPECT_EQ(ref_rec.trace, flat_rec.trace) << what << " decision trace";
     }
   }
@@ -263,6 +260,8 @@ TEST(GoldenEquivalence, PortedRandPrMatchesSeedImplementation) {
   for (std::size_t round = 0; round < 16; ++round) {
     Rng gen = master.split(round);
     Instance inst = fuzz_instance(round, gen);
+    const std::vector<seedref::Arrival> arrivals =
+        seedref::materialize_arrivals(inst);
     struct Opt {
       std::string label;
       RandPrOptions options;
@@ -276,15 +275,16 @@ TEST(GoldenEquivalence, PortedRandPrMatchesSeedImplementation) {
       Rng trial_rng = master.split(500 + round);
       seedref::SeedRandPr seed_alg(trial_rng, o.options);
       RandPr ported_alg(trial_rng, o.options);
-      Recording seed_rec(seed_alg);
+      std::vector<std::vector<SetId>> seed_trace;
       Recording ported_rec(ported_alg);
-      Outcome seed_out = play_reference(inst, seed_rec);
+      Outcome seed_out =
+          seedref::seed_play(inst, seed_alg, arrivals, &seed_trace);
       Outcome ported_out = play_flat(inst, ported_rec, scratch);
       const std::string what = "randPr/" + o.label + " round " +
                                std::to_string(round) + " on " +
                                inst.describe();
       expect_same_outcome(seed_out, ported_out, what);
-      EXPECT_EQ(seed_rec.trace, ported_rec.trace) << what;
+      EXPECT_EQ(seed_trace, ported_rec.trace) << what;
     }
   }
 }
@@ -295,38 +295,35 @@ TEST(GoldenEquivalence, PortedBaselinesMatchSeedImplementations) {
   for (std::size_t round = 0; round < 16; ++round) {
     Rng gen = master.split(round);
     Instance inst = fuzz_instance(round, gen);
+    const std::vector<seedref::Arrival> arrivals =
+        seedref::materialize_arrivals(inst);
+    // Plays the seed replica on the seed engine and the port on the flat
+    // engine; outcomes and decision traces must match.
+    auto compare = [&](seedref::SeedAlgorithm& seed_alg,
+                       OnlineAlgorithm& ported_alg, const std::string& what) {
+      std::vector<std::vector<SetId>> seed_trace;
+      Recording ported_rec(ported_alg);
+      Outcome a = seedref::seed_play(inst, seed_alg, arrivals, &seed_trace);
+      Outcome b = play_flat(inst, ported_rec, scratch);
+      expect_same_outcome(a, b, what + " round " + std::to_string(round));
+      EXPECT_EQ(seed_trace, ported_rec.trace) << what << " trace";
+    };
 
     {
       SeedGreedyMaxWeight seed_alg;
       GreedyMaxWeight ported_alg;
-      Recording seed_rec(seed_alg);
-      Recording ported_rec(ported_alg);
-      Outcome a = play_reference(inst, seed_rec);
-      Outcome b = play_flat(inst, ported_rec, scratch);
-      expect_same_outcome(a, b, "greedy-maxw round " + std::to_string(round));
-      EXPECT_EQ(seed_rec.trace, ported_rec.trace) << "greedy-maxw trace";
+      compare(seed_alg, ported_alg, "greedy-maxw");
     }
     {
       SeedRoundRobin seed_alg;
       RoundRobin ported_alg;
-      Recording seed_rec(seed_alg);
-      Recording ported_rec(ported_alg);
-      Outcome a = play_reference(inst, seed_rec);
-      Outcome b = play_flat(inst, ported_rec, scratch);
-      expect_same_outcome(a, b, "round-robin round " + std::to_string(round));
-      EXPECT_EQ(seed_rec.trace, ported_rec.trace) << "round-robin trace";
+      compare(seed_alg, ported_alg, "round-robin");
     }
     {
       Rng trial_rng = master.split(700 + round);
       SeedUniformRandomChoice seed_alg(trial_rng);
       UniformRandomChoice ported_alg(trial_rng);
-      Recording seed_rec(seed_alg);
-      Recording ported_rec(ported_alg);
-      Outcome a = play_reference(inst, seed_rec);
-      Outcome b = play_flat(inst, ported_rec, scratch);
-      expect_same_outcome(a, b,
-                          "uniform-random round " + std::to_string(round));
-      EXPECT_EQ(seed_rec.trace, ported_rec.trace) << "uniform-random trace";
+      compare(seed_alg, ported_alg, "uniform-random");
     }
   }
 }
@@ -433,9 +430,8 @@ TEST(GoldenEquivalence, DecideBatchMatchesPerElementDecideForAllPolicies) {
 TEST(DecideBatch, EmptyAndDegenerateBlocksMatchScalarAndDoNotAllocate) {
   // An empty block, a block of capacity-0 records, and a single-element
   // block must reproduce the scalar path exactly, and warm degenerate
-  // calls must not touch the allocator (asserted through buffer identity,
-  // the same observable the DispatchGuard pattern uses for misuse:
-  // the contract is checked on every call, not sampled).
+  // calls must not touch the allocator (asserted through buffer identity
+  // on every call, not sampled).
   const std::size_t m = 8;
   std::vector<SetMeta> metas(m);
   for (SetId s = 0; s < m; ++s) metas[s] = SetMeta{1.0 + s, 2};
@@ -751,9 +747,9 @@ TEST(PlayScratch, ReusableAcrossInstancesOfDifferentShape) {
   for (const Instance* inst : {&big, &small, &big, &small}) {
     Rng r(99);
     RandPr flat_alg(r);
-    RandPr ref_alg(r);
+    RandPr fresh_alg(r);
     Outcome a = play_flat(*inst, flat_alg, scratch);
-    Outcome b = play_reference(*inst, ref_alg);
+    Outcome b = play(*inst, fresh_alg);
     expect_same_outcome(a, b, inst->describe());
   }
 }

@@ -2,28 +2,13 @@
 #include <gtest/gtest.h>
 
 #include "core/game.hpp"
+#include "testing/scripted.hpp"
 #include "util/require.hpp"
 
 namespace osp {
 namespace {
 
-// Scripted algorithm: returns pre-programmed answers in order.
-class Scripted final : public OnlineAlgorithm {
- public:
-  explicit Scripted(std::vector<std::vector<SetId>> answers)
-      : answers_(std::move(answers)) {}
-  std::string name() const override { return "scripted"; }
-  void start(const std::vector<SetMeta>& sets) override { metas_ = sets; }
-  std::vector<SetId> on_element(ElementId u, Capacity,
-                                const std::vector<SetId>&) override {
-    return answers_.at(u);
-  }
-  const std::vector<SetMeta>& metas() const { return metas_; }
-
- private:
-  std::vector<std::vector<SetId>> answers_;
-  std::vector<SetMeta> metas_;
-};
+using testkit::Scripted;
 
 Instance two_sets() {
   // S0 = {e0, e1} w=1, S1 = {e0, e2} w=2.
@@ -173,17 +158,19 @@ TEST(ActiveTracking, SeenAndProgress) {
   class Probe final : public ActiveTracking {
    public:
     std::string name() const override { return "probe"; }
-    std::vector<SetId> on_element(ElementId, Capacity,
-                                  const std::vector<SetId>& c) override {
-      std::vector<SetId> chosen;
-      if (!c.empty()) chosen.push_back(c.front());
-      record(c, chosen);
-      return chosen;
+    std::size_t decide(ElementId, Capacity, const SetId* candidates,
+                       std::size_t num_candidates, SetId* out) override {
+      const std::size_t n = num_candidates == 0 ? 0 : 1;
+      if (n == 1) out[0] = candidates[0];
+      record(candidates, num_candidates, out, n);
+      return n;
     }
   };
   Probe p;
   p.start({{1.0, 2}, {1.0, 2}});
-  p.on_element(0, 1, {0, 1});
+  const SetId candidates[] = {0, 1};
+  SetId out[1];
+  p.decide(0, 1, candidates, 2, out);
   EXPECT_TRUE(p.is_active(0));
   EXPECT_FALSE(p.is_active(1));
   EXPECT_EQ(p.progress(0), 1u);

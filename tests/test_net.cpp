@@ -10,6 +10,8 @@
 #include "gen/video.hpp"
 #include "net/pipeline.hpp"
 #include "net/router_sim.hpp"
+#include "testing/scripted.hpp"
+#include "util/require.hpp"
 #include "util/rng.hpp"
 
 namespace osp {
@@ -65,6 +67,16 @@ TEST(Router, AmpleCapacityDeliversEverything) {
   RouterStats st = simulate_router(sched, alg, ample);
   EXPECT_EQ(st.frames_delivered, st.frames_total);
   EXPECT_EQ(st.packets_dropped, 0u);
+}
+
+TEST(Router, RejectsServingOneFrameTwiceInASlot) {
+  // Frame 0 has packets in slots 0 and 1.  Answering {0, 0} in slot 0 at
+  // service rate 2 is two servings of one packet, not a delivered frame.
+  FrameSchedule sched;
+  sched.horizon = 2;
+  sched.frames = {Frame{1.0, {0, 1}}, Frame{1.0, {0}}};
+  testkit::Scripted alg({{0, 0}, {}});
+  EXPECT_THROW(simulate_router(sched, alg, 2), RequireError);
 }
 
 TEST(Rankers, StartAndRank) {
@@ -389,6 +401,23 @@ TEST(Pipeline, NoContentionDeliversAll) {
       w, params.num_switches,
       [](std::size_t) { return std::make_unique<GreedyFirst>(); });
   EXPECT_EQ(st.packets_delivered, 1u);
+}
+
+TEST(Pipeline, RejectsChoosingAnAbsentPacket) {
+  // One switch, packet 0 at time 0 and packet 1 at time 1: a policy that
+  // serves packet 1 at time 0 names a packet that is not on the link.
+  InstanceBuilder b;
+  b.add_sets(2);
+  b.add_element({0});
+  b.add_element({1});
+  MultiHopWorkload w{b.build(), {0, 1}, {0, 0}, {1, 1}};
+  EXPECT_THROW(simulate_pipeline(w, 1,
+                                 [](std::size_t) {
+                                   return std::make_unique<testkit::Scripted>(
+                                       std::vector<std::vector<SetId>>{{1},
+                                                                       {1}});
+                                 }),
+               RequireError);
 }
 
 TEST(Pipeline, SharedHashBeatsIndependentRandomness) {

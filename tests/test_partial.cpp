@@ -9,6 +9,7 @@
 #include "core/rand_pr.hpp"
 #include "gen/random_instances.hpp"
 #include "stats/summary.hpp"
+#include "testing/scripted.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 
@@ -53,6 +54,19 @@ TEST(PlayPartial, MatchesClassicForZeroMisses) {
   PartialOutcome partial = play_partial(inst, b, PartialCreditRule{});
   EXPECT_DOUBLE_EQ(classic.benefit, partial.benefit);
   EXPECT_EQ(classic.completed, partial.credited);
+}
+
+TEST(PlayPartial, RejectsChoosingANonParentSet) {
+  // Set 0 (weight 5) holds only e1; choosing it at e0, whose only parent
+  // is set 1, must not count as one of its elements.
+  InstanceBuilder b;
+  b.add_set(5.0);
+  b.add_set(1.0);
+  b.add_element({1});
+  b.add_element({0});
+  Instance inst = b.build();
+  testkit::Scripted alg({{0}, {}});
+  EXPECT_THROW(play_partial(inst, alg, PartialCreditRule{}), RequireError);
 }
 
 TEST(PlayPartial, MissBudgetIncreasesBenefit) {
