@@ -839,6 +839,10 @@ int main(int argc, char** argv) {
     if (args.command == "merge") return cmd_merge(args);
     if (args.command == "version") return cmd_version(args);
     return usage();
+  } catch (const RequireError& e) {
+    // A user error: the message, without the check's source location.
+    std::cerr << "error: " << e.message() << "\n";
+    return 1;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;

@@ -105,12 +105,22 @@ printf '%s\n' 'scenario = regular' 'm = 12' 'sigma = 3' 'sweep.k = 2,3' \
 ./build/osp_cli bench --scenario sustained/steady-smoke --sustained \
   --workers 2
 if ./build/osp_cli bench --scenario sustained/no-such --sustained \
-    2> build/check_sustained_err.txt; then
+    2> build/check_err.txt; then
   echo "unknown sustained scenario unexpectedly succeeded" >&2
   exit 1
 fi
-grep -q "registered scenarios" build/check_sustained_err.txt
-rm -f build/check_sustained_err.txt
+grep -q "registered scenarios" build/check_err.txt
+# A user error prints its message, not the failed check's source location.
+if ./build/osp_cli gen legacy/1024 2> build/check_err.txt; then
+  echo "unknown scenario unexpectedly succeeded" >&2
+  exit 1
+fi
+grep -q "registered scenarios" build/check_err.txt
+if grep -q '\.cpp:' build/check_err.txt; then
+  echo "osp_cli leaked a source location into a user error" >&2
+  exit 1
+fi
+rm -f build/check_err.txt
 # docs/CATALOG.md is generated output: regenerate and fail on drift.
 ./build/osp_cli list --markdown | diff -u docs/CATALOG.md -
 ./build/quickstart > /dev/null
@@ -182,8 +192,8 @@ rm -f BENCH_advsmoke.json build/advsmoke_*.part build/advsmoke_merged.json
 echo
 echo "== sanitizers: ASan/UBSan build of fuzz + engine + queue tests =="
 cmake -B build-asan -S . -DOSP_SANITIZE=ON
-cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_partial test_queue test_serve bench_router
-(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|partial|queue|serve)')
+cmake --build build-asan -j "${jobs}" --target test_fuzz test_engine test_game test_instance test_rand_pr test_net test_queue test_serve bench_router
+(cd build-asan && ctest --output-on-failure -R 'test_(fuzz|engine|game|instance|rand_pr|net|queue|serve)')
 
 echo
 echo "== sanitizers: bench_router --smoke (heap vs sort cross-check) =="

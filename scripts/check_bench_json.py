@@ -26,6 +26,17 @@ validates, with the standard library only:
                  passing serial-reference cross_check, and exactly one
                  sustained_summary row whose packets_per_sec gate is MET
                  against SUSTAINED_MIN_PACKETS_PER_SEC;
+      - uniform: the paper's randPr bounds (BENCH_uniform.json).  Every
+                 row's ratio sits under its bound chain (corollary7:
+                 ratio <= cor7 <= cor6; theorem5: ratio <= thm5;
+                 theorem6: ratio <= thm6; theorem1: ratio <= thm1 <=
+                 cor6 and l45_floor <= alg_mean); ablation cells divide
+                 by their own paper row, fresh-per-element loses and
+                 filtering dead sets never loses on every cell, uniform
+                 priorities lose on the weighted cells; every hashed
+                 family is within the sum of the two 95% CIs of true
+                 randomness;
+      - capacity: ratio <= thm4_bound on every random_capacity row;
       - adversarial: the competitive-ratio dashboard.  theorem3 rows must
                  keep deterministic benefit <= 1 against opt >= the
                  planted sigma^(k-1) witness, with randPr strictly beating
@@ -148,6 +159,52 @@ LEMMA9_RATIO_FLOORS = {
     # reference minima across policies: 2.40 / 7.04 / 17.45 / 30.0
     2: 1.55, 3: 4.5, 4: 11.0, 5: 19.5,
 }
+
+
+# Per-sweep row keys of BENCH_uniform.json and BENCH_capacity.json.
+UNIFORM_ROW_KEYS = {
+    "corollary7": ("m", "k", "sigma", "opt", "alg_mean", "alg_ci95",
+                   "ratio", "cor7_bound", "cor6_bound"),
+    "theorem5": ("m", "n", "k", "dispersion", "opt", "alg_mean", "ratio",
+                 "thm5_bound"),
+    "theorem6": ("m", "n", "sigma", "k_avg", "opt", "alg_mean", "ratio",
+                 "thm6_bound"),
+    "theorem1": ("weighted", "m", "n", "k", "sigma_max", "opt",
+                 "alg_mean", "alg_ci95", "ratio", "l45_floor",
+                 "thm1_bound", "cor6_bound"),
+    "ablation": ("weights", "variant", "alg_mean", "alg_ci95", "vs_paper"),
+    "hash": ("source", "alg_mean", "alg_ci95", "vs_true"),
+}
+CAPACITY_ROW_KEYS = {
+    "random_capacity": ("m", "n", "k", "bmax", "nu_avg", "opt", "alg_mean",
+                        "ratio", "thm4_shape", "thm4_bound"),
+    "uniform_capacity": ("b", "nu_avg", "opt", "alg_mean", "ratio",
+                         "thm4_shape"),
+}
+
+# (sweep, keys) pairs whose values must be non-decreasing along `keys` on
+# every row of the sweep: the measured ratio under the paper's bound, and
+# each bound under the looser one it refines.  The artifacts are
+# deterministic, so plain comparisons are stable.
+BOUND_CHAINS = (
+    ("corollary7", ("ratio", "cor7_bound", "cor6_bound")),
+    ("theorem5", ("ratio", "thm5_bound")),
+    ("theorem6", ("ratio", "thm6_bound")),
+    ("theorem1", ("ratio", "thm1_bound", "cor6_bound")),
+    ("theorem1", ("l45_floor", "alg_mean")),
+    ("random_capacity", ("ratio", "thm4_bound")),
+)
+
+# The randPr ablation: each variant's vs_paper (its mean over the paper
+# variant's mean on the same cell) against 1, on the listed weight-model
+# cells (None = every cell).
+ABLATION_PAPER = "randPr (paper)"
+ABLATION_GATES = (
+    ("fresh per element", None, "<"),
+    ("filter dead sets", None, ">="),
+    ("uniform priorities", ("uniform", "zipf"), "<"),
+)
+HASH_TRUTH = "true random"
 
 
 def fail(path, message):
@@ -358,7 +415,74 @@ def check_adversarial(path, results):
                    f"{sorted(families)}")
 
 
+def split_sweeps(path, results, row_keys, bench):
+    """Groups rows by sweep, requiring every known sweep and its keys."""
+    sweeps = {name: [] for name in row_keys}
+    for row in results:
+        sweep = row.get("sweep")
+        if sweep not in sweeps:
+            fail(path, f"{bench} row has unknown sweep {sweep!r}")
+        require_keys(path, row, row_keys[sweep], f"{sweep} row")
+        sweeps[sweep].append(row)
+    for name, rows in sweeps.items():
+        if not rows:
+            fail(path, f"{bench} bench has no {name!r} rows")
+    return sweeps
+
+
+def check_bound_chains(path, sweeps):
+    for sweep, keys in BOUND_CHAINS:
+        for i, row in enumerate(sweeps.get(sweep, ())):
+            for lo, hi in zip(keys, keys[1:]):
+                if not row[lo] <= row[hi]:
+                    fail(path, f"{sweep} row {i}: {lo} {row[lo]!r} exceeds "
+                               f"{hi} {row[hi]!r}")
+
+
+def check_uniform(path, results):
+    sweeps = split_sweeps(path, results, UNIFORM_ROW_KEYS, "uniform")
+    check_bound_chains(path, sweeps)
+    if {r["weighted"] for r in sweeps["theorem1"]} != {False, True}:
+        fail(path, "theorem1 needs both unweighted and weighted rows")
+
+    cells = {}
+    for row in sweeps["ablation"]:
+        cells.setdefault(row["weights"], {})[row["variant"]] = row
+    for weights, variants in cells.items():
+        wanted = {ABLATION_PAPER} | {g[0] for g in ABLATION_GATES}
+        if set(variants) != wanted:
+            fail(path, f"ablation cell {weights!r} has variants "
+                       f"{sorted(variants)}, expected {sorted(wanted)}")
+        if variants[ABLATION_PAPER]["vs_paper"] != 1:
+            fail(path, f"ablation cell {weights!r}: the paper row's "
+                       f"vs_paper is not 1 — the divisor must be its own "
+                       f"row")
+        for variant, only, op in ABLATION_GATES:
+            if only is not None and weights not in only:
+                continue
+            ratio = variants[variant]["vs_paper"]
+            if not (ratio < 1 if op == "<" else ratio >= 1):
+                fail(path, f"ablation cell {weights!r}: {variant!r} "
+                           f"vs_paper {ratio:.4g} is not {op} 1")
+
+    truth = [r for r in sweeps["hash"] if r["source"] == HASH_TRUTH]
+    if len(truth) != 1:
+        fail(path, f"expected exactly one {HASH_TRUTH!r} hash row, "
+                   f"found {len(truth)}")
+    for row in sweeps["hash"]:
+        gap = abs(row["alg_mean"] - truth[0]["alg_mean"])
+        if gap > row["alg_ci95"] + truth[0]["alg_ci95"]:
+            fail(path, f"hash row {row['source']!r}: mean is {gap:.4g} "
+                       f"from true randomness, beyond the summed 95% CIs")
+
+
+def check_capacity(path, results):
+    check_bound_chains(
+        path, split_sweeps(path, results, CAPACITY_ROW_KEYS, "capacity"))
+
+
 BENCH_CHECKS = {"engine": check_engine, "router": check_router,
+                "uniform": check_uniform, "capacity": check_capacity,
                 "adversarial": check_adversarial}
 
 
@@ -528,6 +652,19 @@ def describe():
     print("  router sustained row keys: " + ", ".join(ROUTER_SUSTAINED_KEYS))
     print("  router sustained_summary row keys: "
           + ", ".join(ROUTER_SUSTAINED_SUMMARY_KEYS))
+    for bench, row_keys in (("uniform", UNIFORM_ROW_KEYS),
+                            ("capacity", CAPACITY_ROW_KEYS)):
+        for sweep, keys in row_keys.items():
+            print(f"  {bench} {sweep} row keys: " + ", ".join(keys))
+    print("  bound chains (non-decreasing along the keys, every row):")
+    for sweep, keys in BOUND_CHAINS:
+        print(f"    {sweep}: " + " <= ".join(keys))
+    print(f"  ablation: '{ABLATION_PAPER}' vs_paper == 1 on every cell;")
+    for variant, only, op in ABLATION_GATES:
+        cells = "every cell" if only is None else "weights " + ", ".join(only)
+        print(f"    {variant}: vs_paper {op} 1 on {cells}")
+    print(f"  hash: |alg_mean - '{HASH_TRUTH}'| <= alg_ci95 + "
+          f"'{HASH_TRUTH}' alg_ci95")
     print("  adversarial row keys: " + ", ".join(ADVERSARIAL_ROW_KEYS))
     for family, keys in sorted(ADVERSARIAL_SHAPE_KEYS.items()):
         print(f"    + {family} shape keys: " + ", ".join(keys))

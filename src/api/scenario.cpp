@@ -277,8 +277,8 @@ ScenarioSpec ScenarioSpec::from_stream(std::istream& in,
       // Re-thrown with the config location composed in directly — a
       // second OSP_REQUIRE wrap would bury the message under another
       // "requirement failed at scenario.cpp:…" preamble.
-      throw RequireError(origin + ":" + std::to_string(lineno) + ": " +
-                         e.what());
+      const std::string where = origin + ":" + std::to_string(lineno) + ": ";
+      throw RequireError(where + e.what(), where + e.message());
     }
   }
   OSP_REQUIRE_MSG(have_base, origin
@@ -845,8 +845,8 @@ ScenarioRegistry build_catalog() {
     reg.add(s);
   }
 
-  // bench_theorem1's eight random shapes (E2), one zipped (m, n, k) axis;
-  // the bench runs the expansion twice (unweighted, then weights U[1,8]).
+  // bench_uniform's Theorem 1 sweep (E2): eight random shapes, one zipped
+  // (m, n, k) axis, expanded twice (unweighted, then weights U[1,8]).
   {
     ScenarioSpec s;
     s.name = "random/theorem1";
@@ -869,7 +869,8 @@ ScenarioRegistry build_catalog() {
     reg.add(s);
   }
 
-  // bench_ablation's (a,b,c) instance families as a weights axis.
+  // bench_uniform's ablation sweep (a,b,c): the instance families as a
+  // weights axis.
   {
     ScenarioSpec s;
     s.name = "ablation/weights";

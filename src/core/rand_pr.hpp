@@ -32,12 +32,13 @@ namespace osp {
 struct RandPrOptions {
   /// If true, never assign an element to a set that is already dead (the
   /// paper's algorithm does not filter; filtering is an ablation that can
-  /// only help and is measured in bench_ablation).
+  /// only help, gated in BENCH_uniform.json's "ablation" sweep).
   bool filter_dead = false;
 
   /// With filter_dead: a set counts as dead once it missed MORE than this
   /// many elements.  0 reproduces strict all-or-nothing scoring; r > 0
-  /// matches a PartialCreditRule with max_misses = r (open problem 3).
+  /// keeps feeding sets that a scoring rule tolerating r misses would
+  /// still credit (open problem 3; the `randpr:filt1` policy).
   std::size_t allowed_misses = 0;
 
   /// If true, ignore weights when drawing priorities (all R_1), an
@@ -46,7 +47,7 @@ struct RandPrOptions {
 
   /// If true, redraw priorities at every element instead of fixing them
   /// per set — breaks the algorithm's consistency and serves as a negative
-  /// control in bench_ablation.
+  /// control in BENCH_uniform.json's "ablation" sweep.
   bool fresh_priorities_per_element = false;
 };
 

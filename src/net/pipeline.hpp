@@ -5,8 +5,8 @@
 // contention — the distributed setting of Section 1.  With HashedRandPr
 // sharing one hash function, all switches assign identical priorities to
 // a packet without any coordination (the paper's Section 3.1 observation);
-// with independent randomness per switch, consistency breaks.  The gap is
-// measured in bench_ablation.
+// with independent randomness per switch, consistency breaks.
+// examples/multihop_routing runs both side by side.
 #pragma once
 
 #include <functional>

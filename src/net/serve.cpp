@@ -28,7 +28,6 @@ struct Prepared {
   std::vector<SetMeta> metas;
   std::vector<std::size_t> stream_of;       // frame -> stream (resolved)
   std::vector<std::size_t> link_of_frame;   // frame -> link
-  std::vector<std::vector<std::size_t>> link_streams;  // link -> its streams
   std::vector<CsrArray<PacketArrival>> arrivals;  // per link, one row per slot
   std::vector<std::uint32_t> arrival_slot;  // seq -> slot
   std::vector<double> window_offered;       // per window
@@ -68,9 +67,6 @@ Prepared prepare(const FrameSchedule& schedule,
   prep.link_of_frame.resize(num_frames);
   for (std::size_t f = 0; f < num_frames; ++f)
     prep.link_of_frame[f] = prep.stream_of[f] % spec.links;
-  prep.link_streams.resize(spec.links);
-  for (std::size_t s = 0; s < prep.num_streams; ++s)
-    prep.link_streams[s % spec.links].push_back(s);
 
   // Global canonical arrival order: slot-major, frame id ascending within
   // a slot — the same pack_slot_frames order the single-link buffered
@@ -350,6 +346,11 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
   std::vector<std::size_t> last_served_slot(
       prep.num_streams, std::numeric_limits<std::size_t>::max());
   std::vector<std::uint64_t> starved(prep.num_streams, 0);
+  // Per link, the streams with a queued packet (stream_live > 0), so the
+  // starvation tally walks only those and not every stream of the link;
+  // live_pos[s] is s's index in its link's list while it is live.
+  std::vector<std::vector<std::size_t>> live_streams(K);
+  std::vector<std::size_t> live_pos(prep.num_streams, 0);
   for (std::size_t l = 0; l < K; ++l) {
     queues[l].reset(schedule.frames.size());
     tallies[l].window_delivered.assign(prep.num_windows, 0.0);
@@ -360,6 +361,20 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
   }
 
   const std::size_t W = std::min(spec.workers, std::max<std::size_t>(K, 1));
+
+  auto stream_gained = [&](std::size_t l, std::size_t s) {
+    if (stream_live[s]++ > 0) return;
+    live_pos[s] = live_streams[l].size();
+    live_streams[l].push_back(s);
+  };
+  auto stream_lost = [&](std::size_t l, std::size_t s, std::size_t packets) {
+    stream_live[s] -= packets;
+    if (stream_live[s] > 0) return;
+    std::vector<std::size_t>& live = live_streams[l];
+    live_pos[live.back()] = live_pos[s];
+    live[live_pos[s]] = live.back();
+    live.pop_back();
+  };
 
   auto ingest = [&](std::size_t l, std::size_t slot) {
     PacketQueue& q = queues[l];
@@ -372,7 +387,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
         continue;
       }
       q.push(a.frame, ranker.rank(a.frame), a.seq);
-      ++stream_live[prep.stream_of[a.frame]];
+      stream_gained(l, prep.stream_of[a.frame]);
     }
     backlog[l] = q.live_size();
     if (tracing) t.slot_backlog[slot] = backlog[l];
@@ -391,7 +406,7 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       ++t.served;
       t.serve_latency.add(slot - prep.arrival_slot[seq]);
       const std::size_t s = prep.stream_of[f];
-      --stream_live[s];
+      stream_lost(l, s, 1);
       last_served_slot[s] = slot;
       if (served_per_frame[f] == prep.metas[f].size)
         t.window_delivered[slot / spec.window] += prep.metas[f].weight;
@@ -407,17 +422,18 @@ SustainedStats serve_sustained(const FrameSchedule& schedule,
       ++t.dropped;
       ++t.evictions;
       t.drop_latency.add(slot - prep.arrival_slot[seq]);
-      --stream_live[prep.stream_of[f]];
+      std::size_t lost = 1;
       if (spec.drop_dead_frames) {
         const std::size_t killed = q.kill_frame(f);
         t.dropped += killed;
         t.cascade_drops += killed;
-        stream_live[prep.stream_of[f]] -= killed;
+        lost += killed;
       }
+      stream_lost(l, prep.stream_of[f], lost);
     }
 
-    for (std::size_t s : prep.link_streams[l])
-      if (stream_live[s] > 0 && last_served_slot[s] != slot) ++starved[s];
+    for (std::size_t s : live_streams[l])
+      if (last_served_slot[s] != slot) ++starved[s];
   };
 
   auto run_worker = [&](std::size_t w, SlotBarrier* barrier) {
@@ -489,6 +505,10 @@ SustainedStats serve_sustained_reference(
   std::vector<std::size_t> last_served_slot(
       prep.num_streams, std::numeric_limits<std::size_t>::max());
   std::vector<std::uint64_t> starved(prep.num_streams, 0);
+  // The plain starvation scan visits every stream of a link every slot.
+  std::vector<std::vector<std::size_t>> link_streams(K);
+  for (std::size_t s = 0; s < prep.num_streams; ++s)
+    link_streams[s % K].push_back(s);
   for (std::size_t l = 0; l < K; ++l) {
     tallies[l].window_delivered.assign(prep.num_windows, 0.0);
     if (tracing) {
@@ -572,7 +592,7 @@ SustainedStats serve_sustained_reference(
         q.erase(doomed, q.end());
       }
 
-      for (std::size_t s : prep.link_streams[l])
+      for (std::size_t s : link_streams[l])
         if (stream_live[s] > 0 && last_served_slot[s] != slot) ++starved[s];
     }
   }

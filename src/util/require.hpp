@@ -6,6 +6,7 @@
 // which compiles away under NDEBUG.
 #pragma once
 
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,9 +14,22 @@
 namespace osp {
 
 /// Thrown when a precondition on user-supplied data is violated.
+/// what() is the full diagnostic (failed expression and source location
+/// included); message() is the part meant for a user, which is what a
+/// command-line front end prints.
 class RequireError : public std::logic_error {
  public:
-  explicit RequireError(const std::string& what) : std::logic_error(what) {}
+  explicit RequireError(const std::string& what)
+      : RequireError(what, what) {}
+  RequireError(const std::string& what, const std::string& message)
+      : std::logic_error(what),
+        message_(std::make_shared<const std::string>(message)) {}
+
+  const std::string& message() const noexcept { return *message_; }
+
+ private:
+  // Shared so that copying the exception cannot throw.
+  std::shared_ptr<const std::string> message_;
 };
 
 namespace detail {
@@ -25,7 +39,9 @@ namespace detail {
   std::ostringstream os;
   os << "requirement failed: " << expr << " at " << file << ":" << line;
   if (!msg.empty()) os << " — " << msg;
-  throw RequireError(os.str());
+  throw RequireError(os.str(), msg.empty()
+                                   ? std::string("requirement failed: ") + expr
+                                   : msg);
 }
 
 }  // namespace detail

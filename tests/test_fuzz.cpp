@@ -7,11 +7,9 @@
 #include <sstream>
 
 #include "algos/baselines.hpp"
-#include "algos/fractional.hpp"
 #include "algos/offline.hpp"
 #include "core/game.hpp"
 #include "core/io.hpp"
-#include "core/partial.hpp"
 #include "core/rand_pr.hpp"
 #include "design/lower_bounds.hpp"
 #include "gen/multihop.hpp"
@@ -111,18 +109,6 @@ TEST(Fuzz, CompletedSetsFormFeasibleSolution) {
   }
 }
 
-TEST(Fuzz, PartialWithZeroBudgetMatchesClassic) {
-  for (std::uint64_t seed : {88u}) {
-    for (const Instance& inst : zoo(seed)) {
-      RandPr a{Rng(seed)}, b{Rng(seed)};
-      Outcome classic = play(inst, a);
-      PartialOutcome partial = play_partial(inst, b, PartialCreditRule{});
-      EXPECT_DOUBLE_EQ(classic.benefit, partial.benefit)
-          << inst.describe();
-    }
-  }
-}
-
 TEST(Fuzz, IoRoundTripPreservesOutcomes) {
   // Serialize, reload, replay with the same seed: outcomes identical.
   for (const Instance& inst : zoo(99)) {
@@ -131,21 +117,6 @@ TEST(Fuzz, IoRoundTripPreservesOutcomes) {
     Instance back = read_instance(ss);
     RandPr a{Rng(7)}, b{Rng(7)};
     EXPECT_EQ(play(inst, a).completed, play(back, b).completed);
-  }
-}
-
-TEST(Fuzz, FractionalUpperBoundsEveryIntegralOnlineRun) {
-  // The fractional online value is not an upper bound on integral online
-  // in general, but the LP optimum is; verify the chain
-  // integral-run <= exact-opt <= lp for every family.
-  for (const Instance& inst : zoo(111)) {
-    if (inst.num_sets() > 26) continue;
-    OfflineResult opt = exact_optimum(inst);
-    if (!opt.exact) continue;
-    double lp = lp_upper_bound(inst);
-    EXPECT_LE(opt.value, lp + 1e-6) << inst.describe();
-    FractionalOutcome frac = fractional_online(inst);
-    EXPECT_LE(frac.value, lp + 1e-6) << inst.describe();
   }
 }
 

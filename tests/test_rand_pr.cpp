@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "algos/offline.hpp"
 #include "core/bounds.hpp"
@@ -57,14 +58,34 @@ TEST(Lemma1, LeafSets) {
   EXPECT_NEAR(empirical_survival(inst, 1, 30000, 3), 4.0 / 6.0, 0.01);
 }
 
-TEST(Lemma1, CliqueOfThree) {
-  // Three sets sharing one element: survival 1/3 each (unweighted).
+TEST(Lemma1, Cliques) {
+  // n sets sharing one element: survival 1/n each (unweighted).
+  for (SetId n : {3u, 5u}) {
+    InstanceBuilder b;
+    b.add_sets(n);
+    std::vector<SetId> all(n);
+    for (SetId s = 0; s < n; ++s) all[s] = s;
+    b.add_element(all);
+    Instance inst = b.build();
+    for (SetId s = 0; s < n; ++s)
+      EXPECT_NEAR(empirical_survival(inst, s, 20000, 10 * n + s), 1.0 / n,
+                  0.012)
+          << "clique of " << n;
+  }
+}
+
+TEST(Lemma1, WeightedStar) {
+  // Hub w=6 shares one element with each of 4 unit leaves:
+  // Pr[hub] = 6 / (6 + 4) = 0.6, Pr[leaf] = 1 / (1 + 6) = 1/7.
   InstanceBuilder b;
-  b.add_sets(3);
-  b.add_element({0, 1, 2});
+  b.add_set(6.0);
+  b.add_sets(4, 1.0);
+  for (SetId leaf = 1; leaf <= 4; ++leaf) b.add_element({0, leaf});
   Instance inst = b.build();
-  for (SetId s = 0; s < 3; ++s)
-    EXPECT_NEAR(empirical_survival(inst, s, 20000, 10 + s), 1.0 / 3.0, 0.012);
+  EXPECT_NEAR(empirical_survival(inst, 0, 30000, 5), 0.6, 0.01);
+  for (SetId leaf = 1; leaf <= 4; ++leaf)
+    EXPECT_NEAR(empirical_survival(inst, leaf, 30000, 20 + leaf), 1.0 / 7.0,
+                0.01);
 }
 
 TEST(Lemma1, RepeatIntersectionsAreNotWorse) {

@@ -4,12 +4,16 @@
 // (stats + trace identity — the equivalence oracle of the determinism
 // contract), the links=1 degenerate case against the single-link
 // buffered router, the work-conservation trace invariant, starvation
-// counters, and the window-ledger conservation laws.
+// counters, the window-ledger conservation laws, and a failing ranker
+// reaching the caller from every worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "gen/video.hpp"
@@ -271,6 +275,70 @@ TEST(ServeSustained, WeakStreamStarvesUnderByWeight) {
   EXPECT_GT(st.starved_slots[1], st.starved_slots[0]);
   EXPECT_GE(st.streams_starved(), 1u);
   EXPECT_EQ(st.starved_slots_max(), st.starved_slots[1]);
+}
+
+TEST(ServeSustained, OneStreamPerFrameStarvationMatchesReference) {
+  // An empty stream_of makes every frame its own stream: the starvation
+  // tally then covers thousands of short-lived streams per link, and it
+  // must count exactly what the reference's scan over all of them counts.
+  Rng rng(454);
+  Rng wl_rng = rng.split(0);
+  const VideoWorkload vw = small_workload(wl_rng, 8, 24);
+  ServeSpec spec;
+  spec.links = 4;
+  spec.service_rate = 1;
+  spec.buffer = 6;
+  const Rng rk_rng = rng.split(1);
+  RandPrRanker ranker{rk_rng};
+  const SustainedStats ref =
+      serve_sustained_reference(vw.schedule, {}, ranker, spec);
+  ASSERT_EQ(ref.starved_slots.size(), vw.schedule.frames.size());
+  ASSERT_GT(ref.streams_starved(), 0u);
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    spec.workers = workers;
+    ranker.reseed(rk_rng);
+    const SustainedStats st = serve_sustained(vw.schedule, {}, ranker, spec);
+    EXPECT_EQ(st.starved_slots, ref.starved_slots) << "workers " << workers;
+    EXPECT_TRUE(st == ref) << "workers " << workers;
+  }
+}
+
+/// Ranks by frame id until its `limit`-th call, then throws; rank() is
+/// called concurrently by the workers, so the count is atomic.
+class ThrowingRanker final : public FrameRanker {
+ public:
+  explicit ThrowingRanker(std::size_t limit) : limit_(limit) {}
+  std::string name() const override { return "throwing"; }
+  void start(const std::vector<SetMeta>& /*frames*/) override { calls_ = 0; }
+  double rank(SetId frame) const override {
+    if (calls_.fetch_add(1) >= limit_)
+      throw std::runtime_error("ranker failed");
+    return static_cast<double>(frame);
+  }
+
+ private:
+  std::size_t limit_;
+  mutable std::atomic<std::size_t> calls_{0};
+};
+
+TEST(ServeSustained, RankerFailureReachesCallerWithoutDeadlock) {
+  // A worker that dies mid-run retires from the slot barrier; the others
+  // must keep stepping (or die too) and the error must be rethrown after
+  // the join, at every worker count.
+  Rng rng(707);
+  Rng wl_rng = rng.split(0);
+  const VideoWorkload vw = small_workload(wl_rng, 8, 12);
+  ServeSpec spec;
+  spec.links = 4;
+  spec.service_rate = 2;
+  spec.buffer = 8;
+  for (std::size_t workers : {1u, 2u, 4u}) {
+    spec.workers = workers;
+    ThrowingRanker ranker(vw.schedule.total_packets() / 2);
+    EXPECT_THROW(serve_sustained(vw.schedule, vw.stream_of, ranker, spec),
+                 std::runtime_error)
+        << "workers " << workers;
+  }
 }
 
 TEST(ServeSustained, WindowLedgerConservesValue) {
